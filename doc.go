@@ -22,10 +22,14 @@
 // and route.LoadTracker offers an opt-in link→flow incidence index plus
 // an aggregate observer with running pseudo-power/excess totals, a
 // per-link pseudo-power cache and an exact RecomputeAggregates resync;
-// route.LoadHeap keeps the most-loaded-link order incrementally (lazy
-// stale-entry popping) in exactly the LinksByLoadDesc order. XYI, PR and
-// SA run their hot loops on these; the golden figure tests pin the
-// deterministic heuristics' routings bit-for-bit, and cmd/benchguard
+// route.LoadHeap keeps the most-loaded-link order incrementally (an
+// indexed heap, one entry per loaded link, updated in place) in exactly
+// the LinksByLoadDesc order. XYI, PR and SA run their hot loops on these;
+// PR tests removability in O(1) (a link is removable from a
+// communication iff its diagonal step holds another link) and retires a
+// link for good once no removal applies on it. The golden figure tests
+// pin the deterministic heuristics' routings bit-for-bit, a test-only
+// reference Path-Remover pins PR differentially, and cmd/benchguard
 // fails CI when XYI/SA ns/op regresses beyond 2x the committed
 // BENCH_solvers.json baseline.
 //

@@ -97,7 +97,7 @@ type heurScratch struct {
 	ordered comm.Set
 	// frontier is the AppendFrontierLinks buffer of IG and PR.
 	frontier []mesh.Link
-	// heap is the lazy most-loaded-link heap of XYI and PR.
+	// heap is the indexed most-loaded-link heap of XYI and PR.
 	heap route.LoadHeap
 	// cand/best double-buffer candidate paths or spans (TB, XYI, SA): the
 	// current candidate is built in cand and swapped into best when it
@@ -105,11 +105,9 @@ type heurScratch struct {
 	cand, best, full route.Path
 	// delta/touched are the link-id-indexed accumulator of swapEffectOf
 	// (delta is always restored to zero before returning, touched lists
-	// the ids written); preLoads snapshots pre-move loads during XYI's
-	// apply step.
-	delta    []float64
-	touched  []int
-	preLoads []float64
+	// the ids written).
+	delta   []float64
+	touched []int
 	// needEval flags the communications the SA hill-climb must still
 	// examine (the dirty set).
 	needEval []bool

@@ -1,6 +1,8 @@
 package heur
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/comm"
@@ -48,34 +50,36 @@ type prState struct {
 
 // prScratch is the pooled dense state of the PR heuristic: per-comm DAG
 // states, a link-id-indexed comm index replacing the map[int][]int, the
-// leveled coord bitsets of the reachability sweeps, and the removal-order
-// and frontier buffers. One instance lives in each workspace under the
-// "heur.pr" slot.
+// retired-link set, the leveled coord bitsets of the cleaning sweeps, and
+// the removal-order and frontier buffers. One instance lives in each
+// workspace under the "heur.pr" slot.
 type prScratch struct {
 	states []prState
+	// multiLeft counts the states still holding more than one path.
+	multiLeft int
 	// lists pools the steps' link-id lists; nextList is the bump pointer.
 	lists    [][]int
 	nextList int
 	// commsByLink[id] lists indices into states of communications whose
 	// remaining DAG includes link id (dense over LinkIDSpace).
 	commsByLink [][]int
-	// mark is a generation-stamped link-id set (the "remaining links of
-	// this communication" set of the index rebuild).
-	mark    []int
-	markGen int
+	// dead is a generation-stamped link-id set (one generation per solve)
+	// of links on which a removal failed. A failure is final: the
+	// communications on a link only ever leave it, multi-path ones only
+	// ever become single-path, and a step's width only ever shrinks, so
+	// a retired link never re-enters the hot-link heap.
+	dead    []int
+	deadGen int
 	order   []int
-	// touched/preLoads record the pre-removal DAG of the removing
-	// communication — the superset of links whose load the removal can
-	// change — and their loads, so the caller re-pushes only links whose
-	// load actually moved into the hot-link heap.
-	touched  []int
-	preLoads []float64
+	// touched records the pre-removal DAG of the removing communication —
+	// every link whose load the removal can change — for the caller's
+	// heap re-push.
+	touched []int
 	// linkFrom/linkTo are the dense coordinate indices of each link id's
-	// endpoints (mesh.CoordIndex), precomputed so the reachability sweeps
+	// endpoints (mesh.CoordIndex), precomputed so the cleaning sweeps
 	// skip the LinkByID reconstruction per probe.
 	linkFrom, linkTo []int32
-	// fwd and bwd are the per-level reachability bitsets of remove; the
-	// first two fwd entries double as the ping-pong frontier of reachable.
+	// fwd and bwd are the per-level reachability bitsets of remove.
 	fwd, bwd []route.CoordSet
 }
 
@@ -124,14 +128,15 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	hsc := scratchOf(ws)
 	sc := prScratchOf(ws)
 	sc.nextList = 0
-	if cap(sc.states) < len(in.Comms) {
-		sc.states = make([]prState, len(in.Comms))
+	if n := len(in.Comms); cap(sc.states) < n {
+		// Grow keeping the old states: their step buffers stay pooled.
+		sc.states = slices.Grow(sc.states[:cap(sc.states)], n-cap(sc.states))
 	}
 	sc.states = sc.states[:len(in.Comms)]
 	if len(sc.commsByLink) != m.LinkIDSpace() {
 		sc.commsByLink = make([][]int, m.LinkIDSpace())
-		sc.mark = make([]int, m.LinkIDSpace())
-		sc.markGen = 0
+		sc.dead = make([]int, m.LinkIDSpace())
+		sc.deadGen = 0
 		sc.linkFrom = make([]int32, m.LinkIDSpace())
 		sc.linkTo = make([]int32, m.LinkIDSpace())
 		for _, l := range m.Links() {
@@ -143,6 +148,8 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	for id := range sc.commsByLink {
 		sc.commsByLink[id] = sc.commsByLink[id][:0]
 	}
+	sc.deadGen++
+	sc.multiLeft = 0
 
 	for i, c := range in.Comms {
 		st := &sc.states[i]
@@ -163,38 +170,40 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 			st.steps[t] = step
 			st.initSizes = append(st.initSizes, len(step))
 		}
-		st.refreshMulti()
+		if st.refreshMulti() {
+			sc.multiLeft++
+		}
 		st.addShares(loads, +1)
 	}
 
-	// Link removal order: always attack the most-loaded link first. The
-	// lazy heap replaces the historical full re-sort per removal — links
-	// that yield no removal are set aside until the next applied removal,
-	// links whose shares moved are re-pushed — and pops in exactly the
-	// LinksByLoadDesc order, so the removal sequence is unchanged.
+	// Link removal order: always attack the most-loaded live link first.
+	// The heap pops in exactly the LinksByLoadDesc order, with the links
+	// whose shares moved re-pushed after each removal. A link on which no
+	// removal applies is retired for good (see prScratch.dead): a rescan
+	// from the top after the next removal would only fail on it again.
 	hp := &hsc.heap
 	hp.Init(loads)
-	for anyMulti(sc.states) {
+	for sc.multiLeft > 0 {
 		id, ok := hp.Pop()
 		if !ok {
-			// Defensive: cannot happen, since any multi-path
-			// communication always has a removable loaded link.
-			break
+			// A multi-path communication keeps a removable link, but its
+			// shares can round to zero load and never reach the heap:
+			// name it rather than emit a path nothing checked.
+			st := sc.states[slices.IndexFunc(sc.states, func(st prState) bool { return st.multi })]
+			return route.Routing{}, fmt.Errorf("heur: PR left communication %d (%v→%v) with several paths and no removable loaded link",
+				st.c.ID, st.c.Src, st.c.Dst)
 		}
 		if !removeFromHeaviest(m, loads, sc, id) {
-			hp.SetAside(id)
+			sc.dead[id] = sc.deadGen
 			continue
 		}
-		for k, lid := range sc.touched {
-			if loads.LoadID(lid) != sc.preLoads[k] {
+		// Re-pushing a link whose load did not move is a no-op, and the
+		// popped link is among the touched ones, so it re-enters too.
+		for _, lid := range sc.touched {
+			if sc.dead[lid] != sc.deadGen {
 				hp.Push(lid)
 			}
 		}
-		// The popped link was removed from the heap: re-push it explicitly
-		// in case its load round-tripped bit-exact through the share
-		// redistribution.
-		hp.Push(id)
-		hp.Reactivate()
 	}
 
 	for i := range sc.states {
@@ -223,54 +232,22 @@ func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, i
 	}
 	sc.order = order
 	slices.SortFunc(order, func(a, b int) int {
-		if states[a].c.Rate != states[b].c.Rate {
-			if states[a].c.Rate > states[b].c.Rate {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(states[b].c.Rate, states[a].c.Rate); c != 0 {
+			return c
 		}
 		return states[a].c.ID - states[b].c.ID
 	})
+	from := m.CoordAt(int(sc.linkFrom[id]))
 	for _, i := range order {
 		st := &states[i]
-		if !st.canRemove(m, sc, id) {
+		if !st.canRemove(from) {
 			continue
 		}
-		// Every load change of this removal hits links of the pre-removal
-		// DAG (the post-removal DAG is a subset): record them, with their
-		// loads, for the caller's heap re-push.
-		sc.touched = sc.touched[:0]
-		sc.preLoads = sc.preLoads[:0]
-		for _, step := range st.steps {
-			for _, lid := range step {
-				sc.touched = append(sc.touched, lid)
-				sc.preLoads = append(sc.preLoads, loads.LoadID(lid))
-			}
-		}
 		st.addShares(loads, -1)
-		st.remove(m, sc, id)
+		if !st.remove(m, sc, i, id) {
+			sc.multiLeft--
+		}
 		st.addShares(loads, +1)
-		// Rebuild the link→comm index entries for this communication:
-		// mark the surviving links, then drop i from the pre-removal
-		// links that no longer carry it (a subset of touched).
-		sc.markGen++
-		for _, step := range st.steps {
-			for _, lid := range step {
-				sc.mark[lid] = sc.markGen
-			}
-		}
-		for _, lid := range sc.touched {
-			if sc.mark[lid] == sc.markGen {
-				continue
-			}
-			list := sc.commsByLink[lid]
-			for j, ci := range list {
-				if ci == i {
-					sc.commsByLink[lid] = append(list[:j], list[j+1:]...)
-					break
-				}
-			}
-		}
 		return true
 	}
 	return false
@@ -292,55 +269,30 @@ func (st *prState) addShares(loads *route.LoadTracker, sign float64) {
 	}
 }
 
-// refreshMulti recomputes whether more than one path remains.
-func (st *prState) refreshMulti() {
-	st.multi = false
-	for _, step := range st.steps {
-		if len(step) > 1 {
-			st.multi = true
-			return
-		}
-	}
+// refreshMulti recomputes and returns whether more than one path remains.
+func (st *prState) refreshMulti() bool {
+	st.multi = slices.ContainsFunc(st.steps, func(step []int) bool { return len(step) > 1 })
+	return st.multi
 }
 
-// canRemove reports whether deleting link id keeps at least one src→dst
-// path in the communication's DAG. Callers reach it through the
-// link→comm incidence index, which lists exactly the communications whose
-// DAG contains the link, so presence needs no re-scan.
-func (st *prState) canRemove(m *mesh.Mesh, sc *prScratch, id int) bool {
-	return st.reachable(m, sc, id)
-}
-
-// reachable runs a forward sweep through the step DAG skipping link id and
-// reports whether the sink is still reached.
-func (st *prState) reachable(m *mesh.Mesh, sc *prScratch, skip int) bool {
-	if len(st.steps) == 0 {
-		return true
-	}
-	sc.fwd = levels(sc.fwd, 2, m)
-	frontier, next := &sc.fwd[0], &sc.fwd[1]
-	frontier.Add(st.c.Src)
-	for _, step := range st.steps {
-		for _, lid := range step {
-			if lid == skip {
-				continue
-			}
-			if frontier.HasIdx(int(sc.linkFrom[lid])) {
-				next.AddIdx(int(sc.linkTo[lid]))
-			}
-		}
-		if next.Len() == 0 {
-			return false
-		}
-		frontier, next = next, frontier
-		next.Reset(m)
-	}
-	return frontier.Has(st.c.Dst)
+// canRemove reports whether deleting a link leaving core from keeps at
+// least one src→dst path in the communication's DAG: whether the link's
+// step holds another link. That is exact because the DAG is leveled
+// (every path crosses each step exactly once) and clean (every listed
+// link lies on a remaining path), so any other link of the step carries a
+// path avoiding the deleted one. Callers reach it through the link→comm
+// incidence index, which lists exactly the communications whose DAG
+// contains the link, so presence needs no re-scan.
+func (st *prState) canRemove(from mesh.Coord) bool {
+	return len(st.steps[mesh.Manhattan(st.c.Src, from)]) > 1
 }
 
 // remove deletes link id and prunes every link no longer on a src→dst
-// path (forward ∩ backward reachability), the paper's cleaning step.
-func (st *prState) remove(m *mesh.Mesh, sc *prScratch, id int) {
+// path (forward ∩ backward reachability), the paper's cleaning step. It
+// records the pre-removal links in sc.touched, drops the communication
+// (states index self) from the index entries of the links it loses, and
+// reports whether more than one path remains.
+func (st *prState) remove(m *mesh.Mesh, sc *prScratch, self, id int) bool {
 	// Forward-reachable cores per diagonal level.
 	sc.fwd = levels(sc.fwd, len(st.steps)+1, m)
 	sc.fwd[0].Add(st.c.Src)
@@ -367,29 +319,23 @@ func (st *prState) remove(m *mesh.Mesh, sc *prScratch, id int) {
 			}
 		}
 	}
+	sc.touched = sc.touched[:0]
 	for t, step := range st.steps {
 		kept := step[:0]
 		for _, lid := range step {
-			if lid == id {
+			sc.touched = append(sc.touched, lid)
+			if lid != id && sc.fwd[t].HasIdx(int(sc.linkFrom[lid])) && sc.bwd[t+1].HasIdx(int(sc.linkTo[lid])) {
+				kept = append(kept, lid)
 				continue
 			}
-			if sc.fwd[t].HasIdx(int(sc.linkFrom[lid])) && sc.bwd[t+1].HasIdx(int(sc.linkTo[lid])) {
-				kept = append(kept, lid)
-			}
+			users := sc.commsByLink[lid]
+			j := slices.Index(users, self)
+			sc.commsByLink[lid] = slices.Delete(users, j, j+1)
 		}
 		if len(kept) == 0 {
 			panic("heur: PR pruned a communication to zero paths")
 		}
 		st.steps[t] = kept
 	}
-	st.refreshMulti()
-}
-
-func anyMulti(states []prState) bool {
-	for i := range states {
-		if states[i].multi {
-			return true
-		}
-	}
-	return false
+	return st.refreshMulti()
 }

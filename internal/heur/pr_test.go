@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -149,5 +150,20 @@ func TestPRDeterministic(t *testing.T) {
 		if pathKey(a.Flows[i].Path) != pathKey(b.Flows[i].Path) {
 			t.Fatalf("flow %d differs between runs", i)
 		}
+	}
+}
+
+// A communication whose shares round to zero load never reaches the
+// hot-link heap, so the heap runs dry while it still has several paths:
+// PR must name it in an error instead of emitting an unchecked path.
+func TestPRDryHeapNamesStuckComm(t *testing.T) {
+	m := mesh.MustNew(4, 4)
+	set := comm.Set{
+		{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 4}, Rate: 1000},
+		{ID: 7, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 5e-324},
+	}
+	_, err := (PR{}).Route(Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set})
+	if err == nil || !strings.Contains(err.Error(), "communication 7 ") {
+		t.Fatalf("err = %v, want one naming communication 7", err)
 	}
 }

@@ -25,7 +25,8 @@ import (
 // The hot loop runs on the compiled objective engine: candidate scans
 // visit only the flows crossing the attacked link (the tracker's
 // incidence index), link power probes hit the evaluator's precomputed
-// frequency table, and the most-loaded link comes from a lazy heap
+// frequency table, and the most-loaded link comes from an indexed heap
+// (one entry per link, updated in place by the links a move touched)
 // instead of a full re-sort after every applied move. Routings are
 // bit-for-bit those of the straightforward scan-all-and-resort
 // formulation (pinned by the golden figure tests).
@@ -96,42 +97,17 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		full = append(full, sc.best...)
 		full = append(full, old[bestHi+1:]...)
 		sc.full = full
-		// Snapshot the pre-move loads of every affected link, so only
-		// links whose load actually changed re-enter the heap (the
-		// shared prefix/suffix usually round-trips to the same bits and
-		// its heap entries stay exact).
-		touched := sc.touched[:0]
-		for _, pl := range old {
-			id := in.Mesh.LinkIDFast(pl)
-			if sc.delta[id] == 0 {
-				sc.delta[id] = 1
-				touched = append(touched, id)
-			}
-		}
-		for _, pl := range full {
-			id := in.Mesh.LinkIDFast(pl)
-			if sc.delta[id] == 0 {
-				sc.delta[id] = 1
-				touched = append(touched, id)
-			}
-		}
-		sc.touched = touched
-		preLoads := sc.preLoads[:0]
-		for _, id := range touched {
-			preLoads = append(preLoads, loads.LoadID(id))
-		}
-		sc.preLoads = preLoads
 		loads.ExcludePath(bestPos, old, c.Rate)
 		loads.IncludePath(bestPos, full, c.Rate)
-		for k, id := range touched {
-			sc.delta[id] = 0
-			if loads.LoadID(id) != preLoads[k] {
-				h.Push(id)
-			}
+		// Every load the move changed lies on the old or the new path.
+		// Re-pushing an unchanged link is a no-op, and the attacked link
+		// (popped, so out of the heap) is on the old path and re-enters.
+		for _, pl := range old {
+			h.Push(in.Mesh.LinkIDFast(pl))
 		}
-		// The attacked link was popped, so it has no live entry left:
-		// re-push it explicitly even if its load round-tripped bit-exact.
-		h.Push(lid)
+		for _, pl := range full {
+			h.Push(in.Mesh.LinkIDFast(pl))
+		}
 		h.Reactivate()
 		ps.SetCopy(c.ID, full)
 	}

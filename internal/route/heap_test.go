@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -41,8 +42,31 @@ func TestLoadHeapMatchesSortedScan(t *testing.T) {
 	}
 }
 
-// Interleaved mutations with lazy pushes keep the pop order equal to a
-// fresh full sort: after every batch of load changes (with Push per
+// drainClone pops a copy of the heap to exhaustion and returns the link
+// ids in pop order, leaving h untouched.
+func drainClone(h *LoadHeap) []int {
+	c := LoadHeap{t: h.t, entries: slices.Clone(h.entries), pos: slices.Clone(h.pos)}
+	var ids []int
+	for {
+		id, ok := c.Pop()
+		if !ok {
+			return ids
+		}
+		ids = append(ids, id)
+	}
+}
+
+// wantOrder is the full-resort reference: LinksByLoadDesc as link ids.
+func wantOrder(m *mesh.Mesh, tr *LoadTracker) []int {
+	var ids []int
+	for _, l := range tr.LinksByLoadDesc() {
+		ids = append(ids, m.LinkID(l))
+	}
+	return ids
+}
+
+// Interleaved mutations with incremental pushes keep the pop order equal
+// to a fresh full sort: after every batch of load changes (with Push per
 // changed link) plus Reactivate, the drained heap equals LinksByLoadDesc.
 func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 	m := mesh.MustNew(5, 5)
@@ -80,22 +104,72 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 		}
 		h.Reactivate()
 
-		// Drain a snapshot copy of the heap; compare to a full resort.
-		snapshot := h
-		snapshot.entries = append([]heapEntry(nil), h.entries...)
-		snapshot.ver = append([]uint32(nil), h.ver...)
-		want := tr.LinksByLoadDesc()
-		for i, wl := range want {
-			id, ok := snapshot.Pop()
-			if !ok {
-				t.Fatalf("round %d: heap dry after %d pops, want %d", round, i, len(want))
-			}
-			if got := m.LinkByID(id); got != wl {
-				t.Fatalf("round %d pop %d: got %v, want %v", round, i, got, wl)
+		if got, want := drainClone(&h), wantOrder(m, tr); !slices.Equal(got, want) {
+			t.Fatalf("round %d: drained %v, want %v", round, got, want)
+		}
+	}
+}
+
+// Random Push/SetAside/Reactivate/zeroing sequences: the heap holds at
+// most one entry per loaded link, its position index agrees with the
+// entry array, and a Push at zero load removes the link's entry.
+func TestLoadHeapOneEntryPerLoadedLink(t *testing.T) {
+	m := mesh.MustNew(4, 6)
+	links := m.Links()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := NewLoadTracker(m)
+		for _, l := range links {
+			if rng.Intn(3) == 0 {
+				tr.Add(l, float64(rng.Intn(5)+1))
 			}
 		}
-		if _, ok := snapshot.Pop(); ok {
-			t.Fatalf("round %d: heap has live entries beyond the %d loaded links", round, len(want))
+		var h LoadHeap
+		h.Init(tr)
+		for step := 0; step < 400; step++ {
+			id := m.LinkID(links[rng.Intn(len(links))])
+			switch rng.Intn(6) {
+			case 0:
+				if popped, ok := h.Pop(); ok && rng.Intn(2) == 0 {
+					h.SetAside(popped)
+				}
+			case 1:
+				h.Reactivate()
+			case 2: // zeroing
+				tr.AddID(id, -tr.LoadID(id))
+				h.Push(id)
+				if h.pos[id] != -1 {
+					t.Fatalf("seed %d step %d: link %d kept an entry at zero load", seed, step, id)
+				}
+			case 3: // halving: the entry sifts down
+				tr.AddID(id, -tr.LoadID(id)/2)
+				h.Push(id)
+			default: // small integer loads: plenty of ties
+				tr.AddID(id, float64(rng.Intn(5)+1))
+				h.Push(id)
+			}
+			loaded := 0
+			for _, load := range tr.LoadsView() {
+				if load > 0 {
+					loaded++
+				}
+			}
+			if len(h.entries) > loaded {
+				t.Fatalf("seed %d step %d: %d entries for %d loaded links", seed, step, len(h.entries), loaded)
+			}
+			for i, e := range h.entries {
+				if h.pos[e.id] != int32(i) {
+					t.Fatalf("seed %d step %d: pos[%d] = %d, entry sits at %d", seed, step, e.id, h.pos[e.id], i)
+				}
+			}
+		}
+		// Pushing every link re-admits exactly the loaded ones, in
+		// LinksByLoadDesc order.
+		for _, l := range links {
+			h.Push(m.LinkID(l))
+		}
+		if got, want := drainClone(&h), wantOrder(m, tr); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: drained %v, want %v", seed, got, want)
 		}
 	}
 }
