@@ -7,6 +7,7 @@ package repro_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -131,14 +132,14 @@ func TestOptWorkspaceAllocs(t *testing.T) {
 // minWorkspaceAllocRatio is the acceptance bar of the dense-workspace
 // refactor: across the heuristic line-up, workspace reuse must cut
 // per-solve allocations by at least this factor versus allocate-fresh
-// calls (measured ~25–570× per policy; 10× leaves headroom for runtime
-// drift without letting a pooling regression slip through).
+// calls (warmed solves now allocate nothing, so the measured ratio is
+// unbounded; 10× is the floor the refactor set).
 const minWorkspaceAllocRatio = 10
 
 // maxReusedAllocsPerSolve bounds the absolute per-solve allocation count
-// under reuse: a warmed workspace solve costs only instance validation and
-// interface plumbing (~3 allocs today).
-const maxReusedAllocsPerSolve = 32
+// under reuse: a warmed workspace solve allocates nothing (validation is
+// allocation-free for increasing IDs); 1 leaves room for runtime noise.
+const maxReusedAllocsPerSolve = 1
 
 // BenchmarkSolverTrialAllocs is the workspace-reuse allocation guard: for
 // each heuristic of the line-up it measures allocs per solve with a fresh
@@ -177,7 +178,11 @@ func BenchmarkSolverTrialAllocs(b *testing.B) {
 		totalFresh += fresh
 		totalReused += reused
 	}
-	ratio := totalFresh / totalReused
+	// An all-zero reused total is the best case, not a division by zero.
+	ratio := math.Inf(1)
+	if totalReused > 0 {
+		ratio = totalFresh / totalReused
+	}
 	b.ReportMetric(ratio, "freshOverReused")
 	if ratio < minWorkspaceAllocRatio {
 		b.Fatalf("workspace reuse cuts allocations only %.1f× across the heuristic line-up, guard %d×",

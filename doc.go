@@ -27,9 +27,12 @@
 // the LinksByLoadDesc order. XYI, PR and SA run their hot loops on these;
 // PR tests removability in O(1) (a link is removable from a
 // communication iff its diagonal step holds another link) and retires a
-// link for good once no removal applies on it. The golden figure tests
-// pin the deterministic heuristics' routings bit-for-bit, a test-only
-// reference Path-Remover pins PR differentially, and cmd/benchguard
+// link for good once no removal applies on it. XYI retires a link on
+// which no move improves and wakes it only when a move touches a link its
+// evaluation read, and skips the power probes of candidates that raise
+// the overload excess. The golden figure tests pin the deterministic
+// heuristics' routings bit-for-bit, test-only reference Path-Remover and
+// XY-Improver engines pin PR and XYI differentially, and cmd/benchguard
 // fails CI when XYI/SA ns/op regresses beyond 2x the committed
 // BENCH_solvers.json baseline.
 //

@@ -73,7 +73,24 @@ func (s Set) Validate(m *mesh.Mesh) error {
 }
 
 // ValidateOn is Validate against any platform exposing its core set.
+// Every generator draws strictly increasing IDs, which are unique without
+// any bookkeeping; only a set whose IDs ever fail to increase is re-checked
+// from the start with a seen-set, so the first error reported is the same
+// either way.
 func (s Set) ValidateOn(p Platform) error {
+	for i, c := range s {
+		if err := c.ValidateOn(p); err != nil {
+			return err
+		}
+		if i > 0 && c.ID <= s[i-1].ID {
+			return s.validateUnordered(p)
+		}
+	}
+	return nil
+}
+
+// validateUnordered is ValidateOn for sets with IDs in arbitrary order.
+func (s Set) validateUnordered(p Platform) error {
 	seen := make(map[int]bool, len(s))
 	for _, c := range s {
 		if err := c.ValidateOn(p); err != nil {

@@ -99,6 +99,10 @@ type heurScratch struct {
 	frontier []mesh.Link
 	// heap is the indexed most-loaded-link heap of XYI and PR.
 	heap route.LoadHeap
+	// watch is XYI's index of retired links and the links they read;
+	// read collects one evaluation's reads.
+	watch watchSet
+	read  []int
 	// cand/best double-buffer candidate paths or spans (TB, XYI, SA): the
 	// current candidate is built in cand and swapped into best when it
 	// wins; full materializes XYI's winning full path.

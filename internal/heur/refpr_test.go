@@ -192,10 +192,10 @@ func (st *refPRState) remove(m *mesh.Mesh, id int) {
 // build lowers it, since the oracle is single-goroutine code.
 var refPRSeeds = 30
 
-// refPRCases runs one parallel subtest per (mesh, instance size) cell of
+// refCases runs one parallel subtest per (mesh, instance size) cell of
 // the differential matrix, handing it the cell's seeded instances (seed
 // k is sets[k]; fewer seeds under -short).
-func refPRCases(t *testing.T, ns []int, seeds int, run func(t *testing.T, m *mesh.Mesh, sets []comm.Set)) {
+func refCases(t *testing.T, ns []int, seeds int, run func(t *testing.T, m *mesh.Mesh, sets []comm.Set)) {
 	if testing.Short() {
 		seeds = min(seeds, 4)
 	}
@@ -232,7 +232,7 @@ func samePaths(a, b route.Routing) error {
 // per cell.
 func TestPRMatchesReference(t *testing.T) {
 	model := power.KimHorowitz()
-	refPRCases(t, []int{1, 5, 20, 50, 90, 150}, refPRSeeds, func(t *testing.T, m *mesh.Mesh, sets []comm.Set) {
+	refCases(t, []int{1, 5, 20, 50, 90, 150}, refPRSeeds, func(t *testing.T, m *mesh.Mesh, sets []comm.Set) {
 		ws := route.NewWorkspace()
 		for seed, set := range sets {
 			for _, static := range []bool{false, true} {
@@ -257,7 +257,7 @@ func TestPRMatchesReference(t *testing.T) {
 // round of the reference run. Each round costs a BFS per DAG link, so
 // the matrix is smaller than the differential's.
 func TestPRWidthCheckMatchesReachability(t *testing.T) {
-	refPRCases(t, []int{1, 5, 20, 50}, 3, func(t *testing.T, m *mesh.Mesh, sets []comm.Set) {
+	refCases(t, []int{1, 5, 20, 50}, 3, func(t *testing.T, m *mesh.Mesh, sets []comm.Set) {
 		for seed, set := range sets {
 			_, err := refPR(m, set, false, func(states []refPRState) {
 				for i := range states {

@@ -107,7 +107,7 @@ func (h SA) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	}
 	moveEffect := func(old, new route.Path, rate float64) swapEffect {
 		a, bo, bn := trim(old, new)
-		return swapEffectOf(in.Mesh, ev, loads, old[a:bo], new[a:bn], rate, sc)
+		return swapEffectOf(in.Mesh, ev, loads, old[a:bo], new[a:bn], rate, sc, math.Inf(1))
 	}
 	applyMove := func(old, new route.Path, rate float64) {
 		a, bo, bn := trim(old, new)

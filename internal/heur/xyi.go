@@ -27,9 +27,17 @@ import (
 // incidence index), link power probes hit the evaluator's precomputed
 // frequency table, and the most-loaded link comes from an indexed heap
 // (one entry per link, updated in place by the links a move touched)
-// instead of a full re-sort after every applied move. Routings are
-// bit-for-bit those of the straightforward scan-all-and-resort
-// formulation (pinned by the golden figure tests).
+// instead of a full re-sort after every applied move.
+//
+// Two shortcuts skip evaluations whose outcome is already known. A link
+// that fails is retired rather than set aside: it records the links its
+// evaluation read (watchSet), and an applied move wakes only the retired
+// links that read a link of the moved path — any other would fail again
+// on identical inputs, so "every link is back in play" holds in effect
+// while the failed ones stay out of the heap. And a candidate whose
+// excess rises cannot improve, so its power is never probed. Routings
+// are bit-for-bit those of the set-aside-and-reactivate formulation
+// (pinned by refxyi_test.go and the golden figure tests).
 type XYI struct{}
 
 // Name returns "XYI".
@@ -58,6 +66,8 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 
 	h := &sc.heap
 	h.Init(loads)
+	watch := &sc.watch
+	watch.reset(in.Mesh.LinkIDSpace())
 	for {
 		lid, ok := h.Pop()
 		if !ok {
@@ -66,6 +76,10 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		l := in.Mesh.LinkByID(lid)
 		bestPos, bestLo, bestHi := -1, 0, 0
 		var best swapEffect
+		// read collects every link whose state this evaluation reads: l
+		// itself (its members and load) and the links of every span swap
+		// examined (their loads).
+		read := append(sc.read[:0], lid)
 		// Only flows currently crossing l can be moved off it; the
 		// incidence index lists them in instance order, so the scan is
 		// the full per-communication scan with the misses skipped.
@@ -78,8 +92,11 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 			}
 			// Links outside [lo,hi] are identical in the old and new
 			// paths (their net delta is exactly zero), so the effect of
-			// the full-path swap equals the effect of the span swap.
-			e := swapEffectOf(in.Mesh, ev, loads, p[lo:hi+1], span, c.Rate, sc)
+			// the full-path swap equals the effect of the span swap. A
+			// candidate raising the excess by more than gainEps cannot
+			// improve whatever its power, so its power sum is skipped.
+			e := swapEffectOf(in.Mesh, ev, loads, p[lo:hi+1], span, c.Rate, sc, gainEps)
+			read = append(read, sc.touched...)
 			if e.improves() && (bestPos < 0 || e.betterThan(best)) {
 				bestPos, bestLo, bestHi, best = int(pos), lo, hi, e
 				// Keep the winning span in sc.best; the next moveOff
@@ -87,8 +104,9 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 				sc.cand, sc.best = sc.best, sc.cand
 			}
 		}
+		sc.read = read
 		if bestPos < 0 {
-			h.SetAside(lid)
+			watch.retire(lid, read)
 			continue
 		}
 		c := in.Comms[bestPos]
@@ -99,19 +117,125 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		sc.full = full
 		loads.ExcludePath(bestPos, old, c.Rate)
 		loads.IncludePath(bestPos, full, c.Rate)
-		// Every load the move changed lies on the old or the new path.
-		// Re-pushing an unchanged link is a no-op, and the attacked link
-		// (popped, so out of the heap) is on the old path and re-enters.
-		for _, pl := range old {
-			h.Push(in.Mesh.LinkIDFast(pl))
+		// Every load, incidence list and path the move changed lies on
+		// the old or the new path — a link on both may still have changed
+		// load, since excluding and re-including a rate can round. So the
+		// retired links that read any of these wake up, and these links
+		// themselves are re-pushed (a no-op when unchanged; the attacked
+		// link, popped and out of the heap, is on the old path and
+		// re-enters).
+		for _, path := range [...]route.Path{old, full} {
+			for _, pl := range path {
+				id := in.Mesh.LinkIDFast(pl)
+				watch.wake(id, h)
+				h.Push(id)
+			}
 		}
-		for _, pl := range full {
-			h.Push(in.Mesh.LinkIDFast(pl))
-		}
-		h.Reactivate()
 		ps.SetCopy(c.ID, full)
 	}
 	return singlePathRouting(in, ws), nil
+}
+
+// watchSet is XYI's retirement index: the relation "retired link w's
+// last failed evaluation read link r". A retired link stays out of the
+// heap: its evaluation reads nothing but the state of the links it
+// watches, so until a move touches one of them it would fail again on
+// identical inputs. wake ends the retirement of every watcher of a
+// touched link.
+//
+// The relation is stored as nodes on two linked lists each: a doubly
+// linked list per read link r (whom to wake) and a chain per watcher w
+// (every node to drop once w wakes, whichever link woke it). Nodes come
+// from a free-listed arena that lives with the workspace, so storage is
+// bounded by the reads of the links retired at one time — never by how
+// often a link fails — and is reused across solves.
+type watchSet struct {
+	// head[r] is the first node on read link r's list, chain[w] the
+	// first node of retired link w; -1 when empty.
+	head, chain []int32
+	// stamp[r] == gen marks link r as already recorded for the
+	// retirement in progress (a span link is read by many candidates).
+	stamp []uint32
+	gen   uint32
+	nodes []watchNode
+	free  int32
+}
+
+// watchNode records that watcher w read link r.
+type watchNode struct {
+	w, r int32
+	// prev/next are the neighbours on r's list (next also threads the
+	// free list); sib is w's next node.
+	prev, next, sib int32
+}
+
+// reset empties the index for a mesh with n link ids, keeping its
+// arena.
+func (s *watchSet) reset(n int) {
+	if len(s.stamp) != n {
+		s.head = make([]int32, n)
+		s.chain = make([]int32, n)
+		s.stamp = make([]uint32, n)
+		s.gen = 0
+	}
+	for i := range s.head {
+		s.head[i], s.chain[i] = -1, -1
+	}
+	s.nodes = s.nodes[:0]
+	s.free = -1
+}
+
+// retire records link w, just popped and failed, as a watcher of every
+// link in read.
+func (s *watchSet) retire(w int, read []int) {
+	s.gen++
+	if s.gen == 0 { // wrapped: old stamps could collide
+		clear(s.stamp)
+		s.gen = 1
+	}
+	for _, r := range read {
+		if s.stamp[r] == s.gen {
+			continue
+		}
+		s.stamp[r] = s.gen
+		n := s.free
+		if n >= 0 {
+			s.free = s.nodes[n].next
+		} else {
+			n = int32(len(s.nodes))
+			s.nodes = append(s.nodes, watchNode{})
+		}
+		s.nodes[n] = watchNode{w: int32(w), r: int32(r), prev: -1, next: s.head[r], sib: s.chain[w]}
+		if h := s.head[r]; h >= 0 {
+			s.nodes[h].prev = n
+		}
+		s.head[r], s.chain[w] = n, n
+	}
+}
+
+// wake ends the retirement of every watcher of link r: each one's nodes
+// are unlinked and freed, and the link is pushed back at its current
+// load.
+func (s *watchSet) wake(r int, h *route.LoadHeap) {
+	for s.head[r] >= 0 {
+		w := s.nodes[s.head[r]].w
+		for n := s.chain[w]; n >= 0; {
+			nd := &s.nodes[n]
+			if nd.prev >= 0 {
+				s.nodes[nd.prev].next = nd.next
+			} else {
+				s.head[nd.r] = nd.next
+			}
+			if nd.next >= 0 {
+				s.nodes[nd.next].prev = nd.prev
+			}
+			next := nd.sib
+			nd.next, s.free = s.free, n
+			n = next
+		}
+		s.chain[w] = -1
+		h.Push(int(w))
+	}
 }
 
 // moveOff applies the Section 5.4 local modification to a Manhattan path
@@ -226,16 +350,21 @@ func (e swapEffect) betterThan(o swapEffect) bool {
 
 // swapEffectOf computes the effect of rerouting a flow of the given rate
 // from path old to path new under the current loads, accumulating the
-// per-link deltas in the scratch's dense link-indexed buffer. Deltas are
-// summed in ascending link-id order: float addition is not associative,
-// so an order depending on path direction (or, historically, map
-// iteration) would make near-tie accept decisions nondeterministic and
-// the "deterministic heuristics" guarantee would silently break. (A link
+// per-link deltas in the scratch's dense link-indexed buffer; sc.touched
+// lists the link ids of both paths on return. Deltas are summed in
+// ascending link-id order: float addition is not associative, so an
+// order depending on path direction (or, historically, map iteration)
+// would make near-tie accept decisions nondeterministic and the
+// "deterministic heuristics" guarantee would silently break. (A link
 // appears at most once per Manhattan path, so within one id the sum has
 // at most two terms and commutativity makes the tie order among equal ids
 // irrelevant.)
+//
+// The excess is summed first; when it exceeds skipAbove the power sum is
+// skipped (left zero), sparing the power probes of a candidate the
+// caller will reject on excess alone. Pass +Inf to always get both.
 func swapEffectOf(m *mesh.Mesh, ev *power.Evaluator, loads *route.LoadTracker,
-	old, new route.Path, rate float64, sc *heurScratch) swapEffect {
+	old, new route.Path, rate float64, sc *heurScratch, skipAbove float64) swapEffect {
 
 	if len(sc.delta) != m.LinkIDSpace() {
 		sc.delta = make([]float64, m.LinkIDSpace())
@@ -257,8 +386,20 @@ func swapEffectOf(m *mesh.Mesh, ev *power.Evaluator, loads *route.LoadTracker,
 	}
 	sc.touched = touched
 	sortIDs(touched)
-	cached := loads.Observing()
 	var e swapEffect
+	for _, id := range touched {
+		if d := sc.delta[id]; d != 0 {
+			before := loads.LoadID(id)
+			e.excess += ev.Excess(before+d) - ev.Excess(before)
+		}
+	}
+	if e.excess > skipAbove {
+		for _, id := range touched {
+			sc.delta[id] = 0
+		}
+		return e
+	}
+	cached := loads.Observing()
 	for _, id := range touched {
 		d := sc.delta[id]
 		sc.delta[id] = 0
@@ -266,15 +407,13 @@ func swapEffectOf(m *mesh.Mesh, ev *power.Evaluator, loads *route.LoadTracker,
 			continue
 		}
 		before := loads.LoadID(id)
-		after := before + d
 		bp := 0.0
 		if cached {
 			bp = loads.PseudoID(id)
 		} else {
 			bp = ev.Pseudo(before)
 		}
-		e.power += ev.Pseudo(after) - bp
-		e.excess += ev.Excess(after) - ev.Excess(before)
+		e.power += ev.Pseudo(before+d) - bp
 	}
 	return e
 }

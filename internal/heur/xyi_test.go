@@ -200,3 +200,84 @@ func randomSet(m *mesh.Mesh, seed int64, n int, wmin, wmax float64) comm.Set {
 	}
 	return set
 }
+
+// watchSet against a map model under random retire/wake sequences: a
+// wake pushes exactly the retired links whose last reads include the
+// woken link, the live nodes are exactly the distinct reads of the
+// retired links, and the arena never grows beyond the most nodes live
+// at once — repeated failures of one link do not accumulate storage.
+func TestWatchSetWakesExactlyTheReaders(t *testing.T) {
+	m := mesh.MustNew(4, 4)
+	var ids []int
+	tr := route.NewLoadTracker(m)
+	for _, l := range m.Links() {
+		ids = append(ids, m.LinkID(l))
+		tr.Add(l, 1)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var s watchSet
+	var h route.LoadHeap
+	for round := 0; round < 20; round++ {
+		s.reset(m.LinkIDSpace())
+		h.Init(tr)
+		for _, ok := h.Pop(); ok; _, ok = h.Pop() {
+		}
+		reads := map[int]map[int]bool{} // retired link -> its distinct reads
+		maxLive := 0
+		for step := 0; step < 300; step++ {
+			if rng.Intn(3) > 0 {
+				w := ids[rng.Intn(len(ids))]
+				if reads[w] != nil {
+					continue
+				}
+				read := []int{w}
+				for k := rng.Intn(12); k > 0; k-- {
+					read = append(read, ids[rng.Intn(len(ids))])
+				}
+				s.retire(w, read)
+				reads[w] = map[int]bool{}
+				for _, r := range read {
+					reads[w][r] = true
+				}
+			} else {
+				r := ids[rng.Intn(len(ids))]
+				s.wake(r, &h)
+				var woken []int
+				for id, ok := h.Pop(); ok; id, ok = h.Pop() {
+					woken = append(woken, id)
+				}
+				for _, w := range woken {
+					if reads[w] == nil || !reads[w][r] {
+						t.Fatalf("round %d step %d: waking %d pushed %d, which does not watch it", round, step, r, w)
+					}
+					delete(reads, w)
+				}
+				for w, rs := range reads {
+					if rs[r] {
+						t.Fatalf("round %d step %d: waking %d left its watcher %d retired", round, step, r, w)
+					}
+				}
+			}
+			want := 0
+			for _, rs := range reads {
+				want += len(rs)
+			}
+			live := 0
+			for w := range reads {
+				for n := s.chain[w]; n >= 0; n = s.nodes[n].sib {
+					if !reads[w][int(s.nodes[n].r)] {
+						t.Fatalf("round %d step %d: stray node %d->%d", round, step, w, s.nodes[n].r)
+					}
+					live++
+				}
+			}
+			if live != want {
+				t.Fatalf("round %d step %d: %d live nodes, want %d", round, step, live, want)
+			}
+			maxLive = max(maxLive, live)
+			if len(s.nodes) > maxLive {
+				t.Fatalf("round %d step %d: arena holds %d nodes, at most %d were ever live", round, step, len(s.nodes), maxLive)
+			}
+		}
+	}
+}

@@ -11,8 +11,8 @@ package route
 // Contract: after Init, every load mutation on the tracker must be
 // followed by Push of the affected link ids before the next Pop, or pops
 // may surface a stale ordering. A popped link leaves the heap until it is
-// pushed again; SetAside/Reactivate implement the "skip this link until
-// the next applied move" idiom of XYI.
+// pushed again: a caller that skips a link for a while (XYI's retired
+// links, PR's dead ones) simply does not push it.
 //
 // The zero value is empty; size it with Init. A LoadHeap is single-
 // goroutine state, pooled in workspace scratch like the tracker it tracks.
@@ -21,8 +21,7 @@ type LoadHeap struct {
 	entries []heapEntry
 	// pos[id] is the index of link id's entry in entries, or -1 when the
 	// link has none.
-	pos   []int32
-	aside []int32
+	pos []int32
 }
 
 // heapEntry is one link's heap element: its load as of its last push.
@@ -50,7 +49,6 @@ func (h *LoadHeap) Init(t *LoadTracker) {
 	}
 	h.pos = h.pos[:n]
 	h.entries = h.entries[:0]
-	h.aside = h.aside[:0]
 	for id, load := range t.loads {
 		h.pos[id] = -1
 		if load > 0 {
@@ -112,24 +110,6 @@ func (h *LoadHeap) removeAt(i int) {
 	if i < last {
 		h.fix(i)
 	}
-}
-
-// SetAside records a popped link as set aside: it stays out of the heap
-// until the next Reactivate, so subsequent pops move on to the next
-// most-loaded link.
-func (h *LoadHeap) SetAside(id int) {
-	h.aside = append(h.aside, int32(id))
-}
-
-// Reactivate re-pushes every set-aside link at its current load — the
-// "every link is back in play after an applied move" step of the rescan
-// heuristics. Callers push the changed links themselves (Push), in any
-// order relative to Reactivate.
-func (h *LoadHeap) Reactivate() {
-	for _, id := range h.aside {
-		h.Push(int(id))
-	}
-	h.aside = h.aside[:0]
 }
 
 // fix restores heap order around index i after its entry changed.

@@ -65,9 +65,10 @@ func wantOrder(m *mesh.Mesh, tr *LoadTracker) []int {
 	return ids
 }
 
-// Interleaved mutations with incremental pushes keep the pop order equal
-// to a fresh full sort: after every batch of load changes (with Push per
-// changed link) plus Reactivate, the drained heap equals LinksByLoadDesc.
+// Interleaved pops and mutations with incremental pushes keep the pop
+// order equal to a fresh full sort: after every batch of load changes
+// (with Push per changed link) and re-pushing the links popped in the
+// round, the drained heap equals LinksByLoadDesc.
 func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 	m := mesh.MustNew(5, 5)
 	rng := rand.New(rand.NewSource(7))
@@ -80,11 +81,13 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 	}
 	var h LoadHeap
 	h.Init(tr)
+	var popped []int
 	for round := 0; round < 50; round++ {
-		// Pop a few links, setting them aside (the no-improvement path).
+		// Pop a few links: they leave the heap (the no-improvement path).
+		popped = popped[:0]
 		for k := rng.Intn(4); k > 0; k-- {
 			if id, ok := h.Pop(); ok {
-				h.SetAside(id)
+				popped = append(popped, id)
 			}
 		}
 		// Mutate a handful of links (removals, additions, zeroing) and
@@ -102,7 +105,10 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 			}
 			h.Push(id)
 		}
-		h.Reactivate()
+		// Re-admit the popped links at their current loads.
+		for _, id := range popped {
+			h.Push(id)
+		}
 
 		if got, want := drainClone(&h), wantOrder(m, tr); !slices.Equal(got, want) {
 			t.Fatalf("round %d: drained %v, want %v", round, got, want)
@@ -110,9 +116,9 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 	}
 }
 
-// Random Push/SetAside/Reactivate/zeroing sequences: the heap holds at
-// most one entry per loaded link, its position index agrees with the
-// entry array, and a Push at zero load removes the link's entry.
+// Random Pop/Push/zeroing sequences: the heap holds at most one entry
+// per loaded link, its position index agrees with the entry array, and a
+// Push at zero load removes the link's entry.
 func TestLoadHeapOneEntryPerLoadedLink(t *testing.T) {
 	m := mesh.MustNew(4, 6)
 	links := m.Links()
@@ -126,15 +132,19 @@ func TestLoadHeapOneEntryPerLoadedLink(t *testing.T) {
 		}
 		var h LoadHeap
 		h.Init(tr)
+		var held []int
 		for step := 0; step < 400; step++ {
 			id := m.LinkID(links[rng.Intn(len(links))])
 			switch rng.Intn(6) {
-			case 0:
+			case 0: // pop, sometimes holding the link out for a while
 				if popped, ok := h.Pop(); ok && rng.Intn(2) == 0 {
-					h.SetAside(popped)
+					held = append(held, popped)
 				}
-			case 1:
-				h.Reactivate()
+			case 1: // re-admit the held-out links
+				for _, hid := range held {
+					h.Push(hid)
+				}
+				held = held[:0]
 			case 2: // zeroing
 				tr.AddID(id, -tr.LoadID(id))
 				h.Push(id)
