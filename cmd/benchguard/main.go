@@ -1,7 +1,8 @@
 // Command benchguard compares freshly measured benchmark JSON against
 // the committed baselines and fails when a tracked figure regressed
 // beyond the allowed factor — the CI tripwire that keeps the refinement
-// heuristics' compiled-objective speedups, the NoC simulator's
+// heuristics' compiled-objective speedups, IG's range-minimum bound and
+// PR's degree-count path cleaning, the NoC simulator's
 // arena-engine speedup (the NoCSimSF/NoCSimCT rows, one per switching
 // mode, plus NoCSimEnergy for the per-component energy-accounting
 // configuration), and the sweep scheduler's parallel efficiency from
@@ -9,7 +10,7 @@
 //
 // Usage:
 //
-//	benchguard -baseline BENCH_solvers.json -current fresh.json -policies XYI,SA,NoCSimSF,NoCSimCT,NoCSimEnergy -factor 2
+//	benchguard -baseline BENCH_solvers.json -current fresh.json -policies IG,PR,XYI,SA,NoCSimSF,NoCSimCT,NoCSimEnergy -factor 2
 //	benchguard -scaling fresh_scaling.json -scaling-baseline BENCH_scaling.json -eff-floor 0.5 -eff-factor 0.6
 //	benchguard -serve fresh_serve.json -serve-baseline BENCH_serve.json -serve-factor 3 -hit-speedup 2
 //
@@ -100,7 +101,7 @@ func main() {
 	var (
 		baseline = flag.String("baseline", "BENCH_solvers.json", "committed solver baseline JSON")
 		current  = flag.String("current", "", "freshly measured solver JSON to check")
-		policies = flag.String("policies", "XYI,SA,2MP,4MP,OPT,NoCSimSF,NoCSimCT,NoCSimEnergy", "comma-separated policies to guard")
+		policies = flag.String("policies", "IG,PR,XYI,SA,2MP,4MP,OPT,NoCSimSF,NoCSimCT,NoCSimEnergy", "comma-separated policies to guard")
 		factor   = flag.Float64("factor", 2, "maximum allowed solver slowdown current/baseline")
 		ref      = flag.String("ref", "XY", "reference policy that normalizes machine speed (empty = compare raw ns/op)")
 

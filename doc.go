@@ -11,7 +11,7 @@
 // registry every routing family registers into.
 //
 // Solvers run against dense reusable workspaces (route.Workspace): pooled
-// per-comm path slots, load trackers and coord bitsets replace the
+// per-comm path slots, load trackers and dense per-link buffers replace the
 // per-call map state the policies historically rebuilt, so a warmed
 // workspace routes with ~zero allocations. Reuse is opt-in via
 // solve.Options.Workspace; results are identical with or without it.
@@ -26,15 +26,21 @@
 // indexed heap, one entry per loaded link, updated in place) in exactly
 // the LinksByLoadDesc order. XYI, PR and SA run their hot loops on these;
 // PR tests removability in O(1) (a link is removable from a
-// communication iff its diagonal step holds another link) and retires a
-// link for good once no removal applies on it. XYI retires a link on
+// communication iff its diagonal step holds another link), retires a
+// link for good once no removal applies on it, and cleans paths by
+// cascading live-link bits per bounding-box core, so a removal's
+// cleaning costs the links it kills. IG answers its power-to-go bound
+// from a per-core table of least out-link loads filled once per
+// communication: on every remaining diagonal the candidate's sub-box is
+// a contiguous range of that table. Both enumerate frontiers by dense
+// link id (mesh.AppendFrontierIDs). XYI retires a link on
 // which no move improves and wakes it only when a move touches a link its
 // evaluation read, and skips the power probes of candidates that raise
 // the overload excess. The golden figure tests pin the deterministic
-// heuristics' routings bit-for-bit, test-only reference Path-Remover and
-// XY-Improver engines pin PR and XYI differentially, and cmd/benchguard
-// fails CI when XYI/SA ns/op regresses beyond 2x the committed
-// BENCH_solvers.json baseline.
+// heuristics' routings bit-for-bit, test-only reference Path-Remover,
+// XY-Improver and Improved Greedy engines pin PR, XYI and IG
+// differentially, and cmd/benchguard fails CI when IG/PR/XYI/SA ns/op
+// regresses beyond 2x the committed BENCH_solvers.json baseline.
 //
 // The discrete-event NoC simulator (internal/noc) — the dynamic
 // cross-check of the analytic evaluation — runs the same dense-workspace

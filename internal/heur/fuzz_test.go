@@ -3,6 +3,7 @@ package heur
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -126,6 +127,41 @@ func FuzzXYI(f *testing.F) {
 			t.Fatalf("invalid routing: %v", err)
 		}
 		if err := samePaths(r, refXYI(in, refWS)); err != nil {
+			t.Fatalf("differs from the reference: %v", err)
+		}
+	})
+}
+
+// FuzzIG routes seeded random instances on arbitrary mesh shapes (up to
+// 12x12, up to 150 communications) under the discrete or the continuous
+// model: the routing must be a valid single-path routing of the set and
+// equal the reference Improved Greedy's.
+func FuzzIG(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(5), int64(1), false)
+	f.Add(uint8(8), uint8(8), uint8(70), int64(7), false)
+	f.Add(uint8(6), uint8(10), uint8(150), int64(3), true)
+	f.Add(uint8(1), uint8(12), uint8(20), int64(5), true)
+	f.Add(uint8(12), uint8(1), uint8(20), int64(9), false)
+	ws, refWS := route.NewWorkspace(), route.NewWorkspace()
+	f.Fuzz(func(t *testing.T, p, q, n uint8, seed int64, continuous bool) {
+		m := mesh.MustNew(int(p%12)+1, int(q%12)+1)
+		if m.NumCores() < 2 {
+			return
+		}
+		model := power.KimHorowitz()
+		if continuous {
+			model = power.KimHorowitzContinuous()
+		}
+		set := randomSet(m, seed, int(n%151), 100, 2500)
+		in := Instance{Mesh: m, Model: model, Comms: set}
+		r, err := IG{}.RouteInto(in, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Validate(set, 1); err != nil {
+			t.Fatalf("invalid routing: %v", err)
+		}
+		if err := samePaths(r, refIG(in, refWS, comm.ByWeightDesc)); err != nil {
 			t.Fatalf("differs from the reference: %v", err)
 		}
 	})

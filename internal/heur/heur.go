@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/solve"
@@ -89,14 +88,17 @@ func ByName(name string) (Heuristic, error) {
 }
 
 // heurScratch is the pooled per-workspace scratch shared by the greedy
-// heuristics: the sorted processing order, frontier buffers, candidate-path
-// double buffer, move-sequence buffers, the dense swap-effect accumulator
-// and the hot-link heap of the rescan heuristics. One instance lives in
-// each workspace under the "heur" slot.
+// heuristics: the sorted processing order, the frontier-id buffer, IG's
+// least-load table, candidate-path double buffer, move-sequence buffers,
+// the dense swap-effect accumulator and the hot-link heap of the rescan
+// heuristics. One instance lives in each workspace under the "heur" slot.
 type heurScratch struct {
 	ordered comm.Set
-	// frontier is the AppendFrontierLinks buffer of IG and PR.
-	frontier []mesh.Link
+	// ids is the AppendFrontierIDs buffer of IG's ideal shares and PR's
+	// step lists; minLoad is IG's per-core least out-link load table
+	// (see minOutLoads).
+	ids     []int
+	minLoad []float64
 	// heap is the indexed most-loaded-link heap of XYI and PR.
 	heap route.LoadHeap
 	// watch is XYI's index of retired links and the links they read;

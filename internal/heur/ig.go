@@ -17,6 +17,17 @@ import (
 // every remaining diagonal, the power of the least-loaded admissible link
 // — is smallest. The pre-routed shares of yet-unprocessed communications
 // remain on the links, steering early choices away from future congestion.
+//
+// Loads do not change while one communication is routed, so the bound
+// is answered from one table per communication: each core (a, b) of the
+// box (mesh.BoxFrame: a hops along u and b along v from the source, out
+// of du and dv) holds the least load of its admissible out-links. The
+// box of (next, dst) shares the dst corner with the full box, so a core
+// inside it has the same admissible out-links as in the full box, and
+// with next at (na, nb) its cores on diagonal s are the contiguous range
+// a ∈ [max(na, s−dv), min(du, s−nb)] of that table. A candidate's bound
+// is then one range minimum per remaining diagonal, summed in the same
+// diagonal order, instead of a rebuilt frontier.
 type IG struct {
 	Order comm.Order
 }
@@ -53,10 +64,10 @@ func (h IG) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 // link between the t-th and (t+1)-th diagonals of c's bounding box.
 func addIdealShare(m *mesh.Mesh, loads *route.LoadTracker, sc *heurScratch, c comm.Comm, sign float64) {
 	for t := 0; t < c.Length(); t++ {
-		sc.frontier = m.AppendFrontierLinks(sc.frontier[:0], c.Src, c.Dst, t)
-		share := sign * c.Rate / float64(len(sc.frontier))
-		for _, l := range sc.frontier {
-			loads.Add(l, share)
+		sc.ids = m.AppendFrontierIDs(sc.ids[:0], c.Src, c.Dst, t)
+		share := sign * c.Rate / float64(len(sc.ids))
+		for _, id := range sc.ids {
+			loads.AddID(id, share)
 		}
 	}
 }
@@ -64,28 +75,53 @@ func addIdealShare(m *mesh.Mesh, loads *route.LoadTracker, sc *heurScratch, c co
 // igPathInto builds the single path for c using the power-to-go lower
 // bound, appending onto p.
 func igPathInto(p route.Path, in Instance, loads *route.LoadTracker, sc *heurScratch, ev *power.Evaluator, c comm.Comm) route.Path {
+	f := in.Mesh.BoxFrameOf(c.Src, c.Dst)
+	minLoad := sc.minOutLoads(&f, loads)
+	ell := c.Length()
 	return greedyPathInto(p, c, func(cand mesh.Link, next mesh.Coord) float64 {
 		// Power of the candidate link with c on it…
 		bound := loads.LinkPowerWithEv(ev, cand, c.Rate)
 		// …plus, for each remaining diagonal between next and the sink,
 		// the power of the least-loaded link c could still take.
-		rest := comm.Comm{ID: c.ID, Src: next, Dst: c.Dst, Rate: c.Rate}
-		for t := 0; t < rest.Length(); t++ {
-			best := -1.0
-			sc.frontier = in.Mesh.AppendFrontierLinks(sc.frontier[:0], rest.Src, rest.Dst, t)
-			for _, l := range sc.frontier {
-				if load := loads.Load(l); best < 0 || load < best {
-					best = load
+		na, nb := abs(next.U-c.Src.U), abs(next.V-c.Src.V)
+		for s := na + nb; s < ell; s++ {
+			lo, hi := max(na, s-f.DV), min(f.DU, s-nb)
+			best := minLoad[f.Cell(lo, s-lo)]
+			for a := lo + 1; a <= hi; a++ {
+				if l := minLoad[f.Cell(a, s-a)]; l < best {
+					best = l
 				}
 			}
-			if best >= 0 {
-				p, ok := ev.LinkPowerOK(best + c.Rate)
-				if !ok {
-					p = inf
-				}
-				bound += p
+			p, ok := ev.LinkPowerOK(best + c.Rate)
+			if !ok {
+				p = inf
 			}
+			bound += p
 		}
 		return bound
 	})
+}
+
+// minOutLoads fills the scratch table of f's cores with the least load of
+// each core's admissible out-links (+Inf at the sink, which has none and
+// lies on no remaining diagonal) and returns it, indexed by f.Cell.
+func (sc *heurScratch) minOutLoads(f *mesh.BoxFrame, loads *route.LoadTracker) []float64 {
+	if cap(sc.minLoad) < f.Cells() {
+		sc.minLoad = make([]float64, f.Cells())
+	}
+	out := sc.minLoad[:f.Cells()]
+	view := loads.LoadsView()
+	for a := 0; a <= f.DU; a++ {
+		for b := 0; b <= f.DV; b++ {
+			best := inf
+			if a < f.DU {
+				best = view[f.UID(a, b)]
+			}
+			if b < f.DV && view[f.VID(a, b)] < best {
+				best = view[f.VID(a, b)]
+			}
+			out[f.Cell(a, b)] = best
+		}
+	}
+	return out
 }

@@ -20,6 +20,15 @@ import (
 // lie on any remaining source-to-sink path (the paper's path-cleaning),
 // and redistribute the communication's virtual shares over the surviving
 // links. The process ends when every communication has exactly one path.
+//
+// Path cleaning cascades live degrees. Each communication keeps, per
+// core of its bounding box, a bit for each of its out-links and in-links
+// still live. Deleting a link clears it at both endpoints. A core left
+// with no live out-link (other than the sink) then loses its in-links,
+// and a core left with no live in-link (other than the source) its
+// out-links, recursively. What survives is the maximal clean sub-DAG,
+// exactly the links both reachable from the source and reaching the
+// sink, at a cost proportional to the links killed.
 type PR struct {
 	// StaticShares disables the share redistribution: a removed link's
 	// virtual share simply disappears instead of concentrating on the
@@ -36,23 +45,36 @@ func (PR) Name() string { return "PR" }
 // prState holds the shrinking path DAG of one communication.
 type prState struct {
 	c comm.Comm
-	// steps[t] lists the link IDs still allowed at diagonal step t;
-	// every listed link lies on at least one remaining src→dst path.
-	// The inner lists come from the scratch's list pool and only ever
-	// shrink after construction.
+	// steps[t] lists the link IDs still allowed at diagonal step t, in
+	// AppendFrontierIDs order; every listed link lies on at least one
+	// remaining src→dst path. The inner lists come from the scratch's
+	// list pool and only ever shrink after construction.
 	steps [][]int
 	// initSizes[t] is the original frontier width of step t, used as the
 	// share denominator under the StaticShares ablation.
 	initSizes []int
-	static    bool
-	multi     bool // true while more than one path remains
+	// box addresses the bounding box's cores; live[box.Cell(a, b)] holds
+	// the live-link bits of core (a, b), a view into the scratch arena.
+	box    mesh.BoxFrame
+	live   []uint8
+	static bool
+	multi  bool // true while more than one path remains
 }
 
+// The live-link bits of a box core: its out-links along u and v, and its
+// in-links from (a−1, b) along u and from (a, b−1) along v.
+const (
+	outU uint8 = 1 << iota
+	outV
+	inU
+	inV
+)
+
 // prScratch is the pooled dense state of the PR heuristic: per-comm DAG
-// states, a link-id-indexed comm index replacing the map[int][]int, the
-// retired-link set, the leveled coord bitsets of the cleaning sweeps, and
-// the removal-order and frontier buffers. One instance lives in each
-// workspace under the "heur.pr" slot.
+// states and their live-bit arena, a link-id-indexed comm index
+// replacing the map[int][]int, the retired-link set, and the ordering
+// and touched-link buffers. One instance lives in each workspace under
+// the "heur.pr" slot.
 type prScratch struct {
 	states []prState
 	// multiLeft counts the states still holding more than one path.
@@ -60,8 +82,12 @@ type prScratch struct {
 	// lists pools the steps' link-id lists; nextList is the bump pointer.
 	lists    [][]int
 	nextList int
+	// live is the arena the states' live bits view into, sized to the
+	// largest instance seen.
+	live []uint8
 	// commsByLink[id] lists indices into states of communications whose
-	// remaining DAG includes link id (dense over LinkIDSpace).
+	// remaining DAG includes link id (dense over LinkIDSpace), in
+	// removal-preference order: rate descending, then ID ascending.
 	commsByLink [][]int
 	// dead is a generation-stamped link-id set (one generation per solve)
 	// of links on which a removal failed. A failure is final: the
@@ -70,17 +96,17 @@ type prScratch struct {
 	// a retired link never re-enters the hot-link heap.
 	dead    []int
 	deadGen int
-	order   []int
+	// killed stamps, with one generation per removal, the links a
+	// removal's cleaning cascade killed.
+	killed  []int
+	killGen int
+	// order holds the state indices in removal-preference order while
+	// commsByLink is built.
+	order []int
 	// touched records the pre-removal DAG of the removing communication —
 	// every link whose load the removal can change — for the caller's
 	// heap re-push.
 	touched []int
-	// linkFrom/linkTo are the dense coordinate indices of each link id's
-	// endpoints (mesh.CoordIndex), precomputed so the cleaning sweeps
-	// skip the LinkByID reconstruction per probe.
-	linkFrom, linkTo []int32
-	// fwd and bwd are the per-level reachability bitsets of remove.
-	fwd, bwd []route.CoordSet
 }
 
 func prScratchOf(ws *route.Workspace) *prScratch {
@@ -99,20 +125,6 @@ func (sc *prScratch) newList(capHint int) []int {
 	}
 	sc.nextList++
 	return l[:0]
-}
-
-// levels grows dst to n bitsets sized for m, each cleared, and returns it.
-func levels(dst []route.CoordSet, n int, m *mesh.Mesh) []route.CoordSet {
-	if cap(dst) < n {
-		next := make([]route.CoordSet, n)
-		copy(next, dst[:cap(dst)])
-		dst = next
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i].Reset(m)
-	}
-	return dst
 }
 
 // Route implements Heuristic.
@@ -137,43 +149,63 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		sc.commsByLink = make([][]int, m.LinkIDSpace())
 		sc.dead = make([]int, m.LinkIDSpace())
 		sc.deadGen = 0
-		sc.linkFrom = make([]int32, m.LinkIDSpace())
-		sc.linkTo = make([]int32, m.LinkIDSpace())
-		for _, l := range m.Links() {
-			id := m.LinkID(l)
-			sc.linkFrom[id] = int32(m.CoordIndex(l.From))
-			sc.linkTo[id] = int32(m.CoordIndex(l.To))
-		}
+		sc.killed = make([]int, m.LinkIDSpace())
+		sc.killGen = 0
 	}
 	for id := range sc.commsByLink {
 		sc.commsByLink[id] = sc.commsByLink[id][:0]
 	}
 	sc.deadGen++
 	sc.multiLeft = 0
+	cells := 0
+	for i, c := range in.Comms {
+		sc.states[i].box = m.BoxFrameOf(c.Src, c.Dst)
+		cells += sc.states[i].box.Cells()
+	}
+	if cap(sc.live) < cells {
+		sc.live = make([]uint8, cells)
+	}
+	live := sc.live[:cells]
 
 	for i, c := range in.Comms {
 		st := &sc.states[i]
 		st.c, st.static = c, h.StaticShares
+		st.live, live = live[:st.box.Cells()], live[st.box.Cells():]
+		st.initLive()
 		if cap(st.steps) < c.Length() {
 			st.steps = make([][]int, c.Length())
 		}
 		st.steps = st.steps[:c.Length()]
 		st.initSizes = st.initSizes[:0]
 		for t := 0; t < c.Length(); t++ {
-			hsc.frontier = m.AppendFrontierLinks(hsc.frontier[:0], c.Src, c.Dst, t)
-			step := sc.newList(len(hsc.frontier))
-			for _, l := range hsc.frontier {
-				id := m.LinkID(l)
-				step = append(step, id)
-				sc.commsByLink[id] = append(sc.commsByLink[id], i)
-			}
-			st.steps[t] = step
-			st.initSizes = append(st.initSizes, len(step))
+			hsc.ids = m.AppendFrontierIDs(hsc.ids[:0], c.Src, c.Dst, t)
+			st.steps[t] = append(sc.newList(len(hsc.ids)), hsc.ids...)
+			st.initSizes = append(st.initSizes, len(hsc.ids))
 		}
 		if st.refreshMulti() {
 			sc.multiLeft++
 		}
 		st.addShares(loads, +1)
+	}
+	// The link→comm index lists each link's users in the order
+	// removeFromHeaviest tries them; deletions keep it.
+	sc.order = sc.order[:0]
+	for i := range sc.states {
+		sc.order = append(sc.order, i)
+	}
+	states := sc.states
+	slices.SortFunc(sc.order, func(a, b int) int {
+		if c := cmp.Compare(states[b].c.Rate, states[a].c.Rate); c != 0 {
+			return c
+		}
+		return states[a].c.ID - states[b].c.ID
+	})
+	for _, i := range sc.order {
+		for _, step := range states[i].steps {
+			for _, id := range step {
+				sc.commsByLink[id] = append(sc.commsByLink[id], i)
+			}
+		}
 	}
 
 	// Link removal order: always attack the most-loaded live link first.
@@ -220,31 +252,17 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 // removeFromHeaviest tries to delete link id from the heaviest multi-path
 // communication using it, per the Section 5.5 tie-walk ("unless this
 // removal would break its last remaining path […] we consider removing the
-// second communication, and so on"). It reports whether a removal was
-// applied.
+// second communication, and so on"). commsByLink[id] already lists the
+// link's users heaviest first. It reports whether a removal was applied.
 func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, id int) bool {
-	states := sc.states
-	order := sc.order[:0]
+	l := m.LinkByID(id)
 	for _, i := range sc.commsByLink[id] {
-		if states[i].multi {
-			order = append(order, i)
-		}
-	}
-	sc.order = order
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(states[b].c.Rate, states[a].c.Rate); c != 0 {
-			return c
-		}
-		return states[a].c.ID - states[b].c.ID
-	})
-	from := m.CoordAt(int(sc.linkFrom[id]))
-	for _, i := range order {
-		st := &states[i]
-		if !st.canRemove(from) {
+		st := &sc.states[i]
+		if !st.multi || !st.canRemove(l.From) {
 			continue
 		}
 		st.addShares(loads, -1)
-		if !st.remove(m, sc, i, id) {
+		if !st.remove(sc, i, l) {
 			sc.multiLeft--
 		}
 		st.addShares(loads, +1)
@@ -287,44 +305,44 @@ func (st *prState) canRemove(from mesh.Coord) bool {
 	return len(st.steps[mesh.Manhattan(st.c.Src, from)]) > 1
 }
 
-// remove deletes link id and prunes every link no longer on a src→dst
-// path (forward ∩ backward reachability), the paper's cleaning step. It
-// records the pre-removal links in sc.touched, drops the communication
-// (states index self) from the index entries of the links it loses, and
+// initLive marks every admissible link of the box live: the full
+// Manhattan DAG, in which every core lies on a src→dst path.
+func (st *prState) initLive() {
+	f := &st.box
+	for a := 0; a <= f.DU; a++ {
+		for b := 0; b <= f.DV; b++ {
+			var bits uint8
+			if a < f.DU {
+				bits |= outU
+			}
+			if b < f.DV {
+				bits |= outV
+			}
+			if a > 0 {
+				bits |= inU
+			}
+			if b > 0 {
+				bits |= inV
+			}
+			st.live[f.Cell(a, b)] = bits
+		}
+	}
+}
+
+// remove deletes link l and prunes every link no longer on a src→dst
+// path, the paper's cleaning step. It records the pre-removal links in
+// sc.touched, drops the killed links from their steps and the
+// communication (states index self) from their index entries, and
 // reports whether more than one path remains.
-func (st *prState) remove(m *mesh.Mesh, sc *prScratch, self, id int) bool {
-	// Forward-reachable cores per diagonal level.
-	sc.fwd = levels(sc.fwd, len(st.steps)+1, m)
-	sc.fwd[0].Add(st.c.Src)
-	for t, step := range st.steps {
-		for _, lid := range step {
-			if lid == id {
-				continue
-			}
-			if sc.fwd[t].HasIdx(int(sc.linkFrom[lid])) {
-				sc.fwd[t+1].AddIdx(int(sc.linkTo[lid]))
-			}
-		}
-	}
-	// Backward-reachable cores per level.
-	sc.bwd = levels(sc.bwd, len(st.steps)+1, m)
-	sc.bwd[len(st.steps)].Add(st.c.Dst)
-	for t := len(st.steps) - 1; t >= 0; t-- {
-		for _, lid := range st.steps[t] {
-			if lid == id {
-				continue
-			}
-			if sc.bwd[t+1].HasIdx(int(sc.linkTo[lid])) {
-				sc.bwd[t].AddIdx(int(sc.linkFrom[lid]))
-			}
-		}
-	}
+func (st *prState) remove(sc *prScratch, self int, l mesh.Link) bool {
+	sc.killGen++
+	st.kill(sc, abs(l.From.U-st.c.Src.U), abs(l.From.V-st.c.Src.V), l.From.U != l.To.U)
 	sc.touched = sc.touched[:0]
 	for t, step := range st.steps {
+		sc.touched = append(sc.touched, step...)
 		kept := step[:0]
 		for _, lid := range step {
-			sc.touched = append(sc.touched, lid)
-			if lid != id && sc.fwd[t].HasIdx(int(sc.linkFrom[lid])) && sc.bwd[t+1].HasIdx(int(sc.linkTo[lid])) {
+			if sc.killed[lid] != sc.killGen {
 				kept = append(kept, lid)
 				continue
 			}
@@ -338,4 +356,42 @@ func (st *prState) remove(m *mesh.Mesh, sc *prScratch, self, id int) bool {
 		st.steps[t] = kept
 	}
 	return st.refreshMulti()
+}
+
+// kill clears the live link leaving core (a, b) along u (alongU) or v
+// and stamps it killed, then cascades: its tail left without live
+// out-links loses its in-links, its head left without live in-links
+// loses its out-links. The tail is never the sink and the head never the
+// source, and canRemove guarantees the source keeps an out-link and the
+// sink an in-link, so the cascade stops at both ends.
+func (st *prState) kill(sc *prScratch, a, b int, alongU bool) {
+	f := &st.box
+	x := f.Cell(a, b)
+	ha, hb, id := a, b+1, f.VID(a, b)
+	out, in := outV, inV
+	if alongU {
+		ha, hb, id = a+1, b, f.UID(a, b)
+		out, in = outU, inU
+	}
+	y := f.Cell(ha, hb)
+	st.live[x] &^= out
+	st.live[y] &^= in
+	sc.killed[id] = sc.killGen
+
+	if st.live[x]&(outU|outV) == 0 {
+		if st.live[x]&inU != 0 {
+			st.kill(sc, a-1, b, true)
+		}
+		if st.live[x]&inV != 0 {
+			st.kill(sc, a, b-1, false)
+		}
+	}
+	if st.live[y]&(inU|inV) == 0 {
+		if st.live[y]&outU != 0 {
+			st.kill(sc, ha, hb, true)
+		}
+		if st.live[y]&outV != 0 {
+			st.kill(sc, ha, hb, false)
+		}
+	}
 }

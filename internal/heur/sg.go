@@ -33,7 +33,7 @@ func (h SG) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	for _, c := range sc.orderedInto(in.Comms, h.Order) {
 		p := greedyPathInto(ps.Acquire(c.ID, c.Length()), c,
 			func(cand mesh.Link, _ mesh.Coord) float64 {
-				return loads.Load(cand)
+				return loads.LoadID(in.Mesh.LinkIDFast(cand))
 			})
 		loads.AddPath(p, c.Rate)
 		ps.Set(c.ID, p)

@@ -213,9 +213,9 @@ func (b Box) Cores() int { return (b.UMax - b.UMin + 1) * (b.VMax - b.VMin + 1) 
 // FrontierLinks returns the links a shortest path from src to dst may use
 // at step t (0-based), i.e. the links going from diagonal D^(d)_{ksrc+t} to
 // D^(d)_{ksrc+t+1} that stay inside the bounding box of the communication.
-// This is the per-step frontier of Figure 3 used by the ideal-sharing
-// lower bound and by the IG and PR heuristics. FrontierLinks panics if
-// t is outside [0, Manhattan(src,dst)).
+// This is the per-step frontier of Figure 3: the ideal sharing of the IG
+// and PR heuristics spreads a rate over it (by id, AppendFrontierIDs).
+// FrontierLinks panics if t is outside [0, Manhattan(src,dst)).
 func (m *Mesh) FrontierLinks(src, dst Coord, t int) []Link {
 	return m.AppendFrontierLinks(nil, src, dst, t)
 }
@@ -223,9 +223,9 @@ func (m *Mesh) FrontierLinks(src, dst Coord, t int) []Link {
 // AppendFrontierLinks is FrontierLinks appending into out — allocation-free
 // when out has capacity (pass out[:0] to reuse a scratch buffer). The
 // diagonal is enumerated directly from the family's closed form instead of
-// scanning every core, so a call is O(frontier) rather than O(p·q): this is
-// the hot geometric primitive of the IG and PR heuristics and the optflow
-// shortest-path DP.
+// scanning every core, so a call is O(frontier) rather than O(p·q). Hot
+// loops that index dense per-link state use AppendFrontierIDs, its
+// link-id form.
 func (m *Mesh) AppendFrontierLinks(out []Link, src, dst Coord, t int) []Link {
 	ell := Manhattan(src, dst)
 	if t < 0 || t >= ell {
@@ -250,6 +250,83 @@ func (m *Mesh) AppendFrontierLinks(out []Link, src, dst Coord, t int) []Link {
 	}
 	return out
 }
+
+// AppendFrontierIDs appends the dense LinkID of every link of
+// FrontierLinks(src, dst, t), in exactly AppendFrontierLinks order — the
+// form for loops that index flat per-link state (load accounting, the
+// IG and PR heuristics, the optflow shortest-path DP), without building
+// a Link per id or re-validating it. The order matters to callers whose
+// float accumulations are order-dependent: AppendFrontierLinks lists the
+// diagonal's cores by ascending row and, in every quadrant, the u-move
+// first. It panics if src or dst lies off the mesh or t is outside
+// [0, Manhattan(src,dst)).
+func (m *Mesh) AppendFrontierIDs(out []int, src, dst Coord, t int) []int {
+	f := m.BoxFrameOf(src, dst)
+	if t < 0 || t >= f.DU+f.DV {
+		panic(fmt.Sprintf("mesh: frontier step %d out of range [0,%d)", t, f.DU+f.DV))
+	}
+	lo, hi := max(0, t-f.DV), min(f.DU, t)
+	a, da := lo, 1 // rows ascend with a when the box extends South
+	if dst.U < src.U {
+		a, da = hi, -1
+	}
+	for range hi - lo + 1 {
+		if a < f.DU {
+			out = append(out, f.UID(a, t-a))
+		}
+		if t-a < f.DV {
+			out = append(out, f.VID(a, t-a))
+		}
+		a += da
+	}
+	return out
+}
+
+// BoxFrame addresses the cores of the bounding box of a communication
+// src→dst by their offsets (a, b) from src: a hops along u (rows) and b
+// along v (columns) toward dst, 0 ≤ a ≤ DU and 0 ≤ b ≤ DV. Core (a, b)
+// lies on frontier step a+b, and its admissible links are the u-move
+// when a < DU and the v-move when b < DV, whose dense LinkIDs are
+// closed-form in (a, b). Cell numbers the cores for box-local arrays.
+type BoxFrame struct {
+	DU, DV int
+	// uID0/vID0 are the ids of the u- and v-move out of src; offset
+	// (a, b) adds a·aStep + b·bStep to both (LinkID is the move's
+	// direction block plus the row-major index of the link's tail).
+	uID0, vID0   int
+	aStep, bStep int
+}
+
+// BoxFrameOf returns the box frame of src→dst. It panics if either
+// endpoint lies off the mesh.
+func (m *Mesh) BoxFrameOf(src, dst Coord) BoxFrame {
+	if !m.Contains(src) || !m.Contains(dst) {
+		panic(fmt.Sprintf("mesh: box %v->%v leaves %v", src, dst, m))
+	}
+	f := BoxFrame{DU: abs(dst.U - src.U), DV: abs(dst.V - src.V), aStep: m.q, bStep: 1}
+	uDir, vDir := South, East
+	if dst.U < src.U {
+		uDir, f.aStep = North, -m.q
+	}
+	if dst.V < src.V {
+		vDir, f.bStep = West, -1
+	}
+	from := (src.U-1)*m.q + src.V - 1
+	f.uID0, f.vID0 = int(uDir)*m.p*m.q+from, int(vDir)*m.p*m.q+from
+	return f
+}
+
+// Cells returns the number of cores in the box.
+func (f *BoxFrame) Cells() int { return (f.DU + 1) * (f.DV + 1) }
+
+// Cell returns the box-local index of core (a, b), row-major in a.
+func (f *BoxFrame) Cell(a, b int) int { return a*(f.DV+1) + b }
+
+// UID returns the LinkID of the u-move out of core (a, b); a < DU.
+func (f *BoxFrame) UID(a, b int) int { return f.uID0 + a*f.aStep + b*f.bStep }
+
+// VID returns the LinkID of the v-move out of core (a, b); b < DV.
+func (f *BoxFrame) VID(a, b int) int { return f.vID0 + a*f.aStep + b*f.bStep }
 
 // DiagonalLinks returns every link of the mesh going from diagonal
 // D^(d)_k to D^(d)_{k+1} (no bounding box restriction). These are the link

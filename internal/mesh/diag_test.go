@@ -258,3 +258,73 @@ func TestAppendFrontierLinksMatchesReferenceScan(t *testing.T) {
 		}
 	}
 }
+
+// AppendFrontierIDs lists exactly the LinkID of each AppendFrontierLinks
+// link, element by element, for every ordered pair of cores and every
+// step on square, skewed, single-row, single-column and single-core
+// meshes — all four quadrants and every degenerate row and column. The
+// ids come from BoxFrame.UID/VID, so this pins the frame's id formula on
+// every admissible link of every box.
+func TestAppendFrontierIDsMatchesLinks(t *testing.T) {
+	quadrants := map[Quadrant]int{}
+	degenerate := 0
+	for _, dims := range [][2]int{{1, 1}, {1, 8}, {8, 1}, {3, 11}, {8, 8}} {
+		m := MustNew(dims[0], dims[1])
+		var links []Link
+		var ids []int
+		for _, src := range m.Cores() {
+			for _, dst := range m.Cores() {
+				if src == dst {
+					continue
+				}
+				quadrants[DirectionOf(src, dst)]++
+				if src.U == dst.U || src.V == dst.V {
+					degenerate++
+				}
+				if f := m.BoxFrameOf(src, dst); f.Cells() != BoxOf(src, dst).Cores() {
+					t.Fatalf("%v: %v->%v: frame has %d cells, box %d cores", m, src, dst, f.Cells(), BoxOf(src, dst).Cores())
+				}
+				for step := 0; step < Manhattan(src, dst); step++ {
+					links = m.AppendFrontierLinks(links[:0], src, dst, step)
+					ids = m.AppendFrontierIDs(ids[:0], src, dst, step)
+					if len(ids) != len(links) {
+						t.Fatalf("%v: %v->%v step %d: %d ids, want %d", m, src, dst, step, len(ids), len(links))
+					}
+					for i, l := range links {
+						if ids[i] != m.LinkID(l) {
+							t.Fatalf("%v: %v->%v step %d: id %d = %d, want LinkID(%v) = %d",
+								m, src, dst, step, i, ids[i], l, m.LinkID(l))
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(quadrants) != 4 || degenerate == 0 {
+		t.Fatalf("coverage: quadrants %v, %d degenerate pairs", quadrants, degenerate)
+	}
+}
+
+// AppendFrontierIDs rejects steps outside the path and endpoints off the
+// mesh.
+func TestAppendFrontierIDsPanicsOutOfRange(t *testing.T) {
+	m := MustNew(4, 4)
+	for _, tc := range []struct {
+		src, dst Coord
+		step     int
+	}{
+		{Coord{1, 1}, Coord{2, 2}, 2},
+		{Coord{1, 1}, Coord{2, 2}, -1},
+		{Coord{0, 1}, Coord{2, 2}, 0},
+		{Coord{1, 1}, Coord{2, 5}, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v->%v step %d: no panic", tc.src, tc.dst, tc.step)
+				}
+			}()
+			m.AppendFrontierIDs(nil, tc.src, tc.dst, tc.step)
+		}()
+	}
+}

@@ -7,7 +7,7 @@ import "fmt"
 // topology: its closed-form link identifiers, Manhattan distance and
 // XY-order routes are what every other implementation is measured
 // against, and the rest of the stack keeps calling the concrete *Mesh
-// fast paths (LinkIDFast, PathCount64, AppendFrontierLinks) whenever the
+// fast paths (LinkIDFast, PathCount64, AppendFrontierIDs) whenever the
 // platform is known to be a mesh.
 
 // Name returns the topology family name, "mesh".

@@ -275,14 +275,14 @@ func xyPath(c comm.Comm) []mesh.Link {
 
 // pathDP is the dense scratch of the per-communication shortest-path DP:
 // coord-indexed distance/predecessor arrays with generation stamps (so a
-// new walk needs no clearing), plus the frontier and path buffers. One
+// new walk needs no clearing), plus the frontier-id and path buffers. One
 // instance serves every communication of a Solve.
 type pathDP struct {
 	dist     []float64
 	via      []mesh.Link
 	gen      []int
 	cur      int
-	frontier []mesh.Link
+	frontier []int
 	path     []mesh.Link
 }
 
@@ -302,13 +302,14 @@ func (dp *pathDP) cheapestPath(m *mesh.Mesh, c comm.Comm, costs []float64) []mes
 	dp.dist[si] = 0
 	ell := c.Length()
 	for t := 0; t < ell; t++ {
-		dp.frontier = m.AppendFrontierLinks(dp.frontier[:0], c.Src, c.Dst, t)
-		for _, l := range dp.frontier {
+		dp.frontier = m.AppendFrontierIDs(dp.frontier[:0], c.Src, c.Dst, t)
+		for _, id := range dp.frontier {
+			l := m.LinkByID(id)
 			fi := m.CoordIndex(l.From)
 			if dp.gen[fi] != dp.cur {
 				continue
 			}
-			cand := dp.dist[fi] + costs[m.LinkID(l)]
+			cand := dp.dist[fi] + costs[id]
 			ti := m.CoordIndex(l.To)
 			if dp.gen[ti] != dp.cur || cand < dp.dist[ti] {
 				dp.gen[ti] = dp.cur

@@ -374,9 +374,10 @@ func (t *LoadTracker) LinkPowerWith(model power.Model, l mesh.Link, extra float6
 }
 
 // LinkPowerWithEv is LinkPowerWith against a compiled evaluator — the
-// table-lookup form for greedy hot loops.
+// table-lookup form for greedy hot loops. l must be valid by
+// construction: its id is read without the validity check.
 func (t *LoadTracker) LinkPowerWithEv(ev *power.Evaluator, l mesh.Link, extra float64) float64 {
-	p, ok := ev.LinkPowerOK(t.Load(l) + extra)
+	p, ok := ev.LinkPowerOK(t.loads[t.linkIDFast(l)] + extra)
 	if !ok {
 		return inf
 	}

@@ -3,10 +3,10 @@
 // accounting, validity checking against the Section 3.4 bandwidth
 // constraint, and power evaluation under a power.Model.
 //
-// It also hosts the dense solver workspace layer (Workspace, PathSet,
-// CoordSet): reusable flat-slice and bitset state every routing policy
-// solves against, so repeated solves on one goroutine allocate nothing on
-// the hot path. See Workspace for the pooling contract.
+// It also hosts the dense solver workspace layer (Workspace, PathSet):
+// reusable flat-slice state every routing policy solves against, so
+// repeated solves on one goroutine allocate nothing on the hot path. See
+// Workspace for the pooling contract.
 package route
 
 import (

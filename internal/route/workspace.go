@@ -224,62 +224,6 @@ func (ps *PathSet) SetCopy(id int, p Path) {
 // Get returns the path stored for comm id.
 func (ps *PathSet) Get(id int) Path { return ps.paths[ps.slot(id)] }
 
-// CoordSet is a coord-indexed bitset over the cores of a mesh — the dense
-// replacement for the map[mesh.Coord]bool frontier and reachability sets
-// of the PR heuristic. The zero value is empty; size it with Reset.
-type CoordSet struct {
-	p, q  int
-	count int
-	bits  []uint64
-}
-
-// Reset sizes the set for m and empties it.
-func (s *CoordSet) Reset(m *mesh.Mesh) {
-	s.p, s.q = m.P(), m.Q()
-	words := (s.p*s.q + 63) / 64
-	if cap(s.bits) < words {
-		s.bits = make([]uint64, words)
-	} else {
-		s.bits = s.bits[:words]
-		for i := range s.bits {
-			s.bits[i] = 0
-		}
-	}
-	s.count = 0
-}
-
-// index is the row-major dense index of c (mesh.CoordIndex without the
-// bounds check: CoordSet members always come from valid links).
-func (s *CoordSet) index(c mesh.Coord) int { return (c.U-1)*s.q + (c.V - 1) }
-
-// Add inserts c (idempotent).
-func (s *CoordSet) Add(c mesh.Coord) {
-	s.AddIdx(s.index(c))
-}
-
-// AddIdx inserts the core with the given dense coordinate index
-// (mesh.CoordIndex) — the form for loops that precomputed their indices.
-func (s *CoordSet) AddIdx(i int) {
-	w, b := i/64, uint64(1)<<(i%64)
-	if s.bits[w]&b == 0 {
-		s.bits[w] |= b
-		s.count++
-	}
-}
-
-// Has reports membership of c.
-func (s *CoordSet) Has(c mesh.Coord) bool {
-	return s.HasIdx(s.index(c))
-}
-
-// HasIdx reports membership by dense coordinate index (mesh.CoordIndex).
-func (s *CoordSet) HasIdx(i int) bool {
-	return s.bits[i/64]&(uint64(1)<<(i%64)) != 0
-}
-
-// Len returns the number of members.
-func (s *CoordSet) Len() int { return s.count }
-
 // Clone returns a deep copy of the routing — paths and flow list — for
 // callers that must keep a workspace-aliasing routing beyond the next
 // solver call on the same workspace (see the Workspace pooling contract).

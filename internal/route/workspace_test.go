@@ -39,26 +39,6 @@ func TestPathSetSetCopyDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestCoordSet(t *testing.T) {
-	m := mesh.MustNew(8, 8)
-	var s CoordSet
-	s.Reset(m)
-	if s.Len() != 0 {
-		t.Fatalf("fresh set has %d members", s.Len())
-	}
-	a, b := mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 8, V: 8}
-	s.Add(a)
-	s.Add(a) // idempotent
-	s.Add(b)
-	if s.Len() != 2 || !s.Has(a) || !s.Has(b) || s.Has(mesh.Coord{U: 4, V: 4}) {
-		t.Errorf("membership broken: len=%d", s.Len())
-	}
-	s.Reset(m)
-	if s.Len() != 0 || s.Has(a) {
-		t.Error("Reset did not clear the set")
-	}
-}
-
 func TestWorkspaceBindKeepsStateOnSameDims(t *testing.T) {
 	ws := NewWorkspace()
 	m1 := mesh.MustNew(4, 6)
