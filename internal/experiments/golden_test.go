@@ -143,6 +143,31 @@ func TestGoldenSmokeSpec(t *testing.T) {
 	}
 }
 
+// The checked-in optimality-gap spec must stream the gap CSV matching its
+// checked-in golden at the serial worker count and at NumCPU — the same
+// invariant the CI optgap smoke step enforces through cmd/experiments.
+func TestGoldenOptGapSpec(t *testing.T) {
+	dir := filepath.Join("..", "..", "examples", "specs")
+	sp, err := scenario.LoadSpec(filepath.Join(dir, "optgap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "optgap_optgap.golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		var got bytes.Buffer
+		if err := OptGap(sp, GapOptions{Workers: workers}, NewGapCSVSink(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("workers=%d: gap CSV diverged from the checked-in golden\n--- got ---\n%s--- want ---\n%s",
+				workers, got.Bytes(), want)
+		}
+	}
+}
+
 // Every checked-in example spec parses, validates and expands.
 func TestExampleSpecsValid(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
