@@ -19,25 +19,37 @@ import (
 	"repro/internal/npc"
 	"repro/internal/optflow"
 	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
-// benchPanel shrinks a panel for benchmarking: at most three points,
-// a handful of trials.
-func benchPanel(p experiments.Panel, trials int) experiments.Panel {
-	if len(p.Points) > 3 {
-		p.Points = []experiments.Point{
-			p.Points[0],
-			p.Points[len(p.Points)/2],
-			p.Points[len(p.Points)-1],
-		}
+// benchSpec shrinks a canned figure spec for benchmarking: at most three
+// points, a handful of trials.
+func benchSpec(b *testing.B, id string, trials int) scenario.Spec {
+	b.Helper()
+	sp, err := experiments.SpecByID(id)
+	if err != nil {
+		b.Fatal(err)
 	}
-	p.Trials = trials
-	return p
+	if n := len(sp.Points); n > 3 {
+		sp.Points = []float64{sp.Points[0], sp.Points[n/2], sp.Points[n-1]}
+	}
+	sp.Trials = trials
+	return sp
+}
+
+// benchRun evaluates a spec, failing the benchmark on error.
+func benchRun(b *testing.B, sp scenario.Spec) experiments.Result {
+	b.Helper()
+	res, err := experiments.Run(sp, experiments.SweepOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // reportGap publishes the failure-rate gap between XY and the Manhattan
-// heuristics at the panel's mid-sweep point (the most constrained point
+// heuristics at the sweep's mid point (the most constrained point
 // often defeats every heuristic, making its metrics uniformly zero), plus
 // PR's and XYI's normalized power there — the quantities the paper's
 // plots are read for.
@@ -52,13 +64,13 @@ func reportGap(b *testing.B, res experiments.Result) {
 	b.ReportMetric(xyi.NormPowerInv[mid], "xyiNormPower")
 }
 
-func benchFigure(b *testing.B, p experiments.Panel) {
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	var res experiments.Result
 	for i := 0; i < b.N; i++ {
-		pp := benchPanel(p, 4)
-		pp.Seed += int64(i) // fresh instances each iteration
-		res = pp.Run()
+		sp := benchSpec(b, id, 4)
+		sp.Seed += int64(i) // fresh instances each iteration
+		res = benchRun(b, sp)
 	}
 	reportGap(b, res)
 }
@@ -77,26 +89,29 @@ func BenchmarkFig2RoutingRules(b *testing.B) {
 }
 
 // E2–E4 — Figure 7: sensitivity to the number of communications.
-func BenchmarkFig7aSmall(b *testing.B) { benchFigure(b, experiments.Figure7a()) }
-func BenchmarkFig7bMixed(b *testing.B) { benchFigure(b, experiments.Figure7b()) }
-func BenchmarkFig7cBig(b *testing.B)   { benchFigure(b, experiments.Figure7c()) }
+func BenchmarkFig7aSmall(b *testing.B) { benchFigure(b, "fig7a") }
+func BenchmarkFig7bMixed(b *testing.B) { benchFigure(b, "fig7b") }
+func BenchmarkFig7cBig(b *testing.B)   { benchFigure(b, "fig7c") }
 
 // E5–E7 — Figure 8: sensitivity to the size of communications.
-func BenchmarkFig8aFew(b *testing.B)      { benchFigure(b, experiments.Figure8a()) }
-func BenchmarkFig8bSome(b *testing.B)     { benchFigure(b, experiments.Figure8b()) }
-func BenchmarkFig8cNumerous(b *testing.B) { benchFigure(b, experiments.Figure8c()) }
+func BenchmarkFig8aFew(b *testing.B)      { benchFigure(b, "fig8a") }
+func BenchmarkFig8bSome(b *testing.B)     { benchFigure(b, "fig8b") }
+func BenchmarkFig8cNumerous(b *testing.B) { benchFigure(b, "fig8c") }
 
 // E8–E10 — Figure 9: sensitivity to the length of communications.
-func BenchmarkFig9aNumerousSmall(b *testing.B) { benchFigure(b, experiments.Figure9a()) }
-func BenchmarkFig9bSomeMid(b *testing.B)       { benchFigure(b, experiments.Figure9b()) }
-func BenchmarkFig9cFewBig(b *testing.B)        { benchFigure(b, experiments.Figure9c()) }
+func BenchmarkFig9aNumerousSmall(b *testing.B) { benchFigure(b, "fig9a") }
+func BenchmarkFig9bSomeMid(b *testing.B)       { benchFigure(b, "fig9b") }
+func BenchmarkFig9cFewBig(b *testing.B)        { benchFigure(b, "fig9c") }
 
 // E11 — §6.4 summary statistics (success rates, inverse-power gains,
 // static fraction).
 func BenchmarkSummaryStats(b *testing.B) {
 	var s experiments.Summary
 	for i := 0; i < b.N; i++ {
-		s = experiments.RunSummary(1, int64(i))
+		var err error
+		if s, err = experiments.RunSummary(1, int64(i), nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(s.Success["XY"], "xySuccess")
 	b.ReportMetric(s.Success["PR"], "prSuccess")
@@ -194,27 +209,14 @@ func BenchmarkNoCSim(b *testing.B) {
 	}
 }
 
-// Engine — the pooled per-worker-scratch trial runner against the
-// old-style allocate-per-trial baseline, on the same panel with the same
-// seeds (the two produce identical figures; TestRunMatchesBaseline holds
-// them to it). The ns/op gap is the refactor's throughput win.
+// Engine — the pooled per-worker-scratch trial runner on a shrunken
+// Figure 7(a). Its allocating predecessor survives only as the test
+// oracle TestRunMatchesBaseline compares it against.
 func BenchmarkPanelRunner(b *testing.B) {
-	panel := func() experiments.Panel {
-		p := benchPanel(experiments.Figure7a(), 16)
-		return p
-	}
-	b.Run("baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := panel()
-			p.RunBaseline()
-		}
-	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := panel()
-			p.Run()
+			benchRun(b, benchSpec(b, "fig7a", 16))
 		}
 	})
 }
@@ -222,27 +224,30 @@ func BenchmarkPanelRunner(b *testing.B) {
 // maxAllocsPerTrial locks in the pooled runner's allocation discipline:
 // the engine's per-trial path reuses worker scratch AND hands each policy
 // the worker's dense route.Workspace, so a trial costs only instance
-// validation and interface plumbing (~8 allocs for XY at n=70, down from
+// validation and interface plumbing (~5 allocs for XY at n=70, down from
 // ~147 before the workspace layer). A regression that reverts to
 // per-trial allocation anywhere — engine scratch or solver internals —
 // blows straight through this bound.
-const maxAllocsPerTrial = 24
+const maxAllocsPerTrial = 8
 
 // Allocation guard on the pooled panel runner's per-trial path.
 func BenchmarkPanelTrialAllocs(b *testing.B) {
-	p := experiments.Figure7a()
-	p.Points = []experiments.Point{p.Points[len(p.Points)/2]} // n=70
+	sp, err := experiments.SpecByID("fig7a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp.Points = []float64{sp.Points[len(sp.Points)/2]} // n=70
 	const trials = 64
-	p.Trials = trials
-	p.Policies = []string{"XY"}
+	sp.Trials = trials
+	sp.Policies = []string{"XY"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Run()
+		benchRun(b, sp)
 	}
 	b.StopTimer()
 	// AllocsPerRun pins GOMAXPROCS to 1, so this measures exactly the
 	// serial per-trial hot path with a single worker scratch.
-	perTrial := testing.AllocsPerRun(3, func() { p.Run() }) / trials
+	perTrial := testing.AllocsPerRun(3, func() { benchRun(b, sp) }) / trials
 	b.ReportMetric(perTrial, "allocs/trial")
 	if perTrial > maxAllocsPerTrial {
 		b.Fatalf("per-trial allocations %.0f exceed the guard %d — the pooled engine is allocating on the hot path",
@@ -264,7 +269,7 @@ func BenchmarkPatternBenchmarks(b *testing.B) {
 	var rows []experiments.PatternRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunPatterns(900)
+		rows, err = experiments.RunPatterns(900, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,17 +338,14 @@ func BenchmarkAblationPRShares(b *testing.B) {
 
 // Ablation — discrete versus continuous frequency scaling on Figure 7(a).
 func BenchmarkAblationDiscreteFreq(b *testing.B) {
-	for _, tc := range []struct {
-		name       string
-		continuous bool
-	}{{"discrete", false}, {"continuous", true}} {
+	for _, tc := range []struct{ name, power string }{{"discrete", ""}, {"continuous", "continuous"}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var res experiments.Result
 			for i := 0; i < b.N; i++ {
-				p := benchPanel(experiments.Figure7a(), 3)
-				p.Continuous = tc.continuous
-				p.Seed += int64(i)
-				res = p.Run()
+				sp := benchSpec(b, "fig7a", 3)
+				sp.Power = tc.power
+				sp.Seed += int64(i)
+				res = benchRun(b, sp)
 			}
 			pr := res.SeriesByName("PR")
 			b.ReportMetric(pr.FailureRatio[len(res.X)/2], "prFailRatio")

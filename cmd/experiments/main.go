@@ -297,25 +297,46 @@ func (c cfg) overrideSpec(sp scenario.Spec) scenario.Spec {
 
 // runSweep streams one spec through the sink stack selected by the
 // flags: accumulated tables on stdout, plus CSV/JSONL/progress streams.
-// Under -optgap the same spec instead streams the optimality-gap report.
+// Under -optgap the same spec instead streams the optimality-gap report:
+// every policy against the exact branch-and-bound on the same seeded
+// instances, as a table on stdout and <id>_optgap.csv under -csv.
+// SIGINT/SIGTERM cancel either sweep instead of killing the process
+// mid-write: workers drain and files close with whole rows.
 func (c cfg) runSweep(sp scenario.Spec) error {
-	if c.optgap {
-		return c.runGapSweep(sp)
-	}
 	id := sp.ID
 	if id == "" {
 		id = "sweep"
 	}
-	ts := experiments.NewTableSink()
-	sinks := []experiments.Sink{ts}
-	start := 0
-
 	var closers []io.Closer
 	defer func() {
 		for _, cl := range closers {
 			cl.Close()
 		}
 	}()
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	opt := experiments.SweepOptions{Workers: c.workers, Context: ctx}
+
+	if c.optgap {
+		gts := experiments.NewGapTableSink()
+		sinks := []experiments.GapSink{gts}
+		if c.csvDir != "" {
+			gw, err := openStream(filepath.Join(c.csvDir, sanitize(id+"_optgap")+".csv"), false, -1)
+			if err != nil {
+				return err
+			}
+			closers = append(closers, gw)
+			sinks = append(sinks, experiments.NewGapCSVSink(gw))
+		}
+		if err := experiments.OptGap(sp, opt, c.optStates, sinks...); err != nil {
+			return err
+		}
+		return c.render(gts.Table())
+	}
+
+	ts := experiments.NewTableSink()
+	sinks := []experiments.Sink{ts}
+	start := 0
 	if c.csvDir != "" {
 		powPath := filepath.Join(c.csvDir, sanitize(id+"_power")+".csv")
 		failPath := filepath.Join(c.csvDir, sanitize(id+"_failures")+".csv")
@@ -358,13 +379,10 @@ func (c cfg) runSweep(sp scenario.Spec) error {
 	// to disk — the index the resume hint reports is always replayable.
 	pc := &pointCounter{}
 	sinks = append(sinks, pc)
-	// SIGINT/SIGTERM cancel the sweep instead of killing the process
-	// mid-write: workers drain, files close with whole rows, and the
-	// interrupted run reports how to pick up where it stopped.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	err := experiments.Sweep(sp, experiments.SweepOptions{Start: start, Workers: c.workers, Context: ctx}, sinks...)
+	opt.Start = start
+	err := experiments.Sweep(sp, opt, sinks...)
 	if errors.Is(err, context.Canceled) {
+		// The interrupted run reports how to pick up where it stopped.
 		fmt.Fprintf(os.Stderr, "experiments: interrupted: %d/%d points checkpointed\n", pc.done, pc.total)
 		if c.csvDir != "" {
 			cmd := strings.Join(os.Args, " ")
@@ -385,38 +403,6 @@ func (c cfg) runSweep(sp scenario.Spec) error {
 		return err
 	}
 	return c.render(fr)
-}
-
-// runGapSweep streams one spec's optimality-gap report: every policy of
-// the spec against the exact branch-and-bound on the same seeded
-// instances, accumulated into a table on stdout and optionally streamed
-// to <id>_optgap.csv under -csv and to markdown on stdout under -md.
-func (c cfg) runGapSweep(sp scenario.Spec) error {
-	id := sp.ID
-	if id == "" {
-		id = "sweep"
-	}
-	gts := experiments.NewGapTableSink()
-	sinks := []experiments.GapSink{gts}
-
-	var closers []io.Closer
-	defer func() {
-		for _, cl := range closers {
-			cl.Close()
-		}
-	}()
-	if c.csvDir != "" {
-		gw, err := openStream(filepath.Join(c.csvDir, sanitize(id+"_optgap")+".csv"), false, -1)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, gw)
-		sinks = append(sinks, experiments.NewGapCSVSink(gw))
-	}
-	if err := experiments.OptGap(sp, experiments.GapOptions{Workers: c.workers, MaxStates: c.optStates}, sinks...); err != nil {
-		return err
-	}
-	return c.render(gts.Table())
 }
 
 // pointCounter is the sink that tracks the resume checkpoint: how many
@@ -570,7 +556,7 @@ func (c cfg) runOne(id string) error {
 		if per == 0 {
 			per = 20
 		}
-		s, err := experiments.RunSummaryWith(per, 1+c.seed, c.policies)
+		s, err := experiments.RunSummary(per, 1+c.seed, c.policies)
 		if err != nil {
 			return err
 		}
@@ -596,19 +582,17 @@ func (c cfg) runOne(id string) error {
 		}
 		return c.emit(experiments.OpenProblemTable(rows, 3), id)
 	case "patterns":
-		rows, err := experiments.RunPatternsWith(900, c.policies)
+		rows, err := experiments.RunPatterns(900, c.policies)
 		if err != nil {
 			return err
 		}
 		return c.emit(experiments.PatternTable(rows), id)
 	case "noc":
-		policy := "PR"
+		var policy string // run admits at most one; none means PR
 		if len(c.policies) == 1 {
 			policy = c.policies[0]
-		} else if len(c.policies) > 1 {
-			return fmt.Errorf("-policies does not apply: %s", policyFreeReason("noc", c.policies))
 		}
-		v, err := experiments.RunNoCValidationWith(1+c.seed, 15, policy)
+		v, err := experiments.RunNoCValidation(1+c.seed, 15, policy)
 		if err != nil {
 			return err
 		}

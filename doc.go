@@ -89,9 +89,12 @@
 // holds a case-insensitive self-registering registry of workload sources
 // (the Section 6 random families, permutation patterns, application
 // traffic, trace-driven replay out of the NoC simulator) plus the
-// declarative sweep Spec that round-trips through JSON. The experiment
-// layer streams any Spec point by point through pluggable sinks
-// (experiments.Sweep) over the pooled engine; the paper's figure panels
+// declarative sweep Spec that round-trips through JSON. The Spec is the
+// experiment layer's only sweep description: one streaming loop runs any
+// Spec point by point through pluggable sinks over the pooled engine, as
+// a power sweep (experiments.Sweep) or an optimality-gap report
+// (experiments.OptGap), and experiments.Check — that loop's first step —
+// is what routed's /sweep admits specs through. The paper's figure panels
 // are canned Specs, pinned byte-identical to the historical output by
 // golden tests, and interrupted sweeps resume from their streamed CSV
 // checkpoint.
@@ -102,7 +105,7 @@
 // load tracker, draw buffers, bound drawers — for the whole sweep, so
 // slow points spread across idle cores instead of serializing behind
 // per-point barriers. Parallelism is unobservable in the output: seeds
-// depend only on (panel seed, point, trial) and a merge stage releases
+// depend only on (spec seed, point, trial) and a merge stage releases
 // completed points to the sinks strictly in point order, so every
 // SweepOptions.Workers count (0 = all cores) streams byte-identical
 // CSV/JSONL and the Start resume contract is unchanged.

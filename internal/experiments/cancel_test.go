@@ -63,6 +63,27 @@ func TestSweepAlreadyCancelledContext(t *testing.T) {
 	}
 }
 
+// Gap sweeps stream through the same loop and cancel the same way: a dead
+// context runs no trial, streams no point and never calls End.
+func TestOptGapAlreadyCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var trials atomic.Int64
+	gr := &gapRecorder{}
+	err := OptGap(gapSpec(), SweepOptions{Context: ctx, TrialStart: func(_, _ int) {
+		trials.Add(1)
+	}}, 0, gr)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := trials.Load(); n != 0 {
+		t.Errorf("dead-on-arrival context still ran %d trials", n)
+	}
+	if len(gr.points) != 0 || gr.ended {
+		t.Errorf("dead-on-arrival context streamed %d points (ended=%v)", len(gr.points), gr.ended)
+	}
+}
+
 // Carrying a context that never fires is invisible in the output: the
 // streamed CSV is byte-identical to a sweep without one.
 func TestSweepUncancelledContextByteIdentical(t *testing.T) {

@@ -1,65 +1,21 @@
 // Package experiments regenerates every figure of the paper's Section 6
-// evaluation plus the Section 4 theory plots — and generalizes them: the
-// figure panels are canned scenario.Spec values run through a generic
-// streaming Sweep over the pooled trial engine, so any registered
-// workload source × policy list × mesh combination runs through the same
-// pipeline. cmd/experiments and the repository benchmarks are thin
+// evaluation plus the Section 4 theory plots — and generalizes them. A
+// scenario.Spec is the only description of a sweep: the figure panels are
+// canned specs (Specs, SpecByID), and every spec — a power sweep (Sweep)
+// or an optimality-gap report (OptGap) — runs through one streaming
+// loop over the pooled trial engine, so any registered workload source
+// × policy list × platform combination runs through the same pipeline.
+// cmd/experiments, routed's /sweep and the repository benchmarks are thin
 // wrappers over this package.
 package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/scenario"
 )
 
-// Workload describes how one instance of a panel point is drawn. It is
-// the scenario layer's declarative parameter bundle; the panel's Source
-// decides which fields matter.
-type Workload = scenario.Params
-
-// Point is one x-position of a panel.
-type Point struct {
-	X float64
-	W Workload
-}
-
-// Panel configures one figure panel: an x-sweep of workloads evaluated by
-// a policy list over Trials random instances per point. Panels are the
-// expanded, imperative form of a scenario.Spec (PanelOf); the canned
-// figures are Specs first.
-type Panel struct {
-	ID     string
-	Title  string
-	XLabel string
-	// Mesh is the "PxQ" platform geometry ("" = the paper's 8x8).
-	Mesh string
-	// Topology selects a non-mesh platform by topo.Parse spec string
-	// (e.g. "torus:8x8"); empty keeps the mesh in Mesh. Mutually
-	// exclusive with Mesh, mirroring scenario.Spec.
-	Topology string
-	// Source is the registered scenario source drawing each trial's
-	// communication set ("" = "uniform", the Section 6 random family).
-	Source string
-	Points []Point
-	// Policies is the list of registered policy names the panel sweeps
-	// (any mix of families: heuristics, SA, multi-path, OPT, MAXMP).
-	// Empty means HeuristicNames — the paper's Figure 7–9 line-up.
-	Policies []string
-	// Trials is the number of random communication sets per point
-	// (the paper used 50 000; defaults are far smaller, see DefaultTrials).
-	Trials int
-	// Seed derives all per-trial RNG streams.
-	Seed int64
-	// Continuous switches to the continuous-frequency ablation model.
-	Continuous bool
-	// Order overrides the processing order of the order-sensitive
-	// heuristics (ablation; zero value is the paper's weight-descending).
-	Order comm.Order
-}
-
-// DefaultTrials is the per-point trial count used when a panel leaves
+// DefaultTrials is the per-point trial count used when a spec leaves
 // Trials at zero. The paper averages 50 000 sets per point; 400 keeps the
 // full suite under a few minutes on a laptop while preserving the curve
 // shapes.
@@ -162,113 +118,4 @@ func sweepLength(id, title string, n int, wmin, wmax float64) scenario.Spec {
 		Axis:   scenario.AxisLength, Points: pts,
 		Seed: 3,
 	}
-}
-
-// PanelOf expands a declarative spec into a runnable panel: the swept
-// axis applied to every point, captions defaulted, the power model
-// resolved.
-func PanelOf(sp scenario.Spec) (Panel, error) {
-	if err := sp.Validate(); err != nil {
-		return Panel{}, err
-	}
-	p := Panel{
-		ID:       sp.ID,
-		Title:    sp.Title,
-		XLabel:   sp.XLabel,
-		Mesh:     sp.Mesh,
-		Topology: sp.Topology,
-		Source:   sp.Source,
-		Policies: append([]string(nil), sp.Policies...),
-		Trials:   sp.Trials,
-		Seed:     sp.Seed,
-	}
-	if p.ID == "" {
-		p.ID = "sweep"
-	}
-	if p.Title == "" {
-		p.Title = fmt.Sprintf("%s sweep (%s)", sp.SourceName(), p.ID)
-	}
-	if p.XLabel == "" {
-		p.XLabel = sp.DefaultXLabel()
-	}
-	if sp.Power == "continuous" {
-		p.Continuous = true
-	}
-	for _, x := range sp.XValues() {
-		p.Points = append(p.Points, Point{X: x, W: sp.At(x)})
-	}
-	return p, nil
-}
-
-// mustPanel expands a canned spec (always valid).
-func mustPanel(sp scenario.Spec, err error) Panel {
-	if err == nil {
-		var p Panel
-		p, err = PanelOf(sp)
-		if err == nil {
-			return p
-		}
-	}
-	panic(err)
-}
-
-// Figure7a is the small-communications sweep of §6.1.1:
-// δ ~ U[100,1500] Mb/s, n from 5 to 140.
-func Figure7a() Panel { return mustPanel(SpecByID("fig7a")) }
-
-// Figure7b is the mixed-communications sweep of §6.1.2:
-// δ ~ U[100,2500], n from 5 to 70.
-func Figure7b() Panel { return mustPanel(SpecByID("fig7b")) }
-
-// Figure7c is the big-communications sweep of §6.1.3:
-// δ ~ U[2500,3500], n from 2 to 30.
-func Figure7c() Panel { return mustPanel(SpecByID("fig7c")) }
-
-// Figure8a sweeps the average weight with 10 communications (§6.2.1).
-func Figure8a() Panel { return mustPanel(SpecByID("fig8a")) }
-
-// Figure8b sweeps the average weight with 20 communications (§6.2.2).
-func Figure8b() Panel { return mustPanel(SpecByID("fig8b")) }
-
-// Figure8c sweeps the average weight with 40 communications (§6.2.3);
-// the paper's x-axis stops near 1800 where everything fails.
-func Figure8c() Panel { return mustPanel(SpecByID("fig8c")) }
-
-// Figure9a sweeps the communication length with 100 small communications
-// (§6.3.1): δ ~ U[200,800].
-func Figure9a() Panel { return mustPanel(SpecByID("fig9a")) }
-
-// Figure9b sweeps the length with 25 mid-weighted communications (§6.3.2):
-// δ ~ U[100,3500].
-func Figure9b() Panel { return mustPanel(SpecByID("fig9b")) }
-
-// Figure9c sweeps the length with 12 big communications (§6.3.3):
-// δ ~ U[2700,3300].
-func Figure9c() Panel { return mustPanel(SpecByID("fig9c")) }
-
-// figurePanels returns the nine canned figure panels in order.
-func figurePanels() []Panel {
-	out := make([]Panel, 0, len(figureIDs))
-	for _, id := range figureIDs {
-		out = append(out, mustPanel(SpecByID(id)))
-	}
-	return out
-}
-
-// Panels returns every figure panel keyed by ID.
-func Panels() map[string]Panel {
-	out := make(map[string]Panel)
-	for _, p := range figurePanels() {
-		out[p.ID] = p
-	}
-	return out
-}
-
-// PanelByID looks a panel up by its identifier.
-func PanelByID(id string) (Panel, error) {
-	p, ok := Panels()[id]
-	if !ok {
-		return Panel{}, fmt.Errorf("experiments: unknown panel %q", id)
-	}
-	return p, nil
 }

@@ -16,25 +16,27 @@ import (
 	"repro/internal/topo"
 )
 
-// engine is the pooled trial runner behind Panel.Stream: the panel's
+// engine is the pooled trial runner behind every sweep: the spec's
 // policy list resolved against the solve registry once, the workload
-// source resolved against the scenario registry once. Trials run on the
-// work-stealing scheduler (steal.go): one persistent worker per core
-// holds its scratch — solver workspace, load tracker, draw buffers,
-// bound drawers — for the whole sweep, pulling (point, trial) chunks
-// from per-worker deques with stealing, so slow points no longer
-// serialize behind fast ones and nothing is torn down at point
-// boundaries. Completed points flow through a merge stage that releases
-// them to the sinks strictly in point order.
+// source resolved against the scenario registry and bound to every point
+// once. Trials run on the work-stealing scheduler (steal.go): one
+// persistent worker per core holds its scratch — solver workspace, load
+// tracker, draw buffers, bound drawers — for the whole sweep, pulling
+// (point, trial) chunks from per-worker deques with stealing, so slow
+// points no longer serialize behind fast ones and nothing is torn down
+// at point boundaries. Completed points flow through a merge stage that
+// releases them to the sinks strictly in point order.
 type engine struct {
 	// m is the coordinate-carrier grid workload sources bind to: the
-	// platform itself for mesh panels, Topology.Carrier() otherwise.
+	// platform itself for mesh specs, Topology.Carrier() otherwise.
 	m *mesh.Mesh
-	// tp is the non-mesh platform topology; nil on mesh panels, so the
+	// tp is the non-mesh platform topology; nil on mesh specs, so the
 	// mesh path builds exactly the historical Instance{Mesh: e.m}.
-	tp      topo.Topology
-	model   power.Model
-	src     scenario.Source
+	tp    topo.Topology
+	model power.Model
+	src   scenario.Source
+	// points holds each point's draw params: sp.At of every x-value.
+	points  []scenario.Params
 	names   []string
 	solvers []solve.Solver
 	opts    solve.Options
@@ -43,7 +45,7 @@ type engine struct {
 	// contains BEST alongside all six of its constituent heuristics, BEST's
 	// outcome is the min over their already-computed outcomes instead of
 	// re-running them through the Best solver — identical results (same
-	// routings, same evaluations) at half the cost of the default panel.
+	// routings, same evaluations) at half the cost of the default line-up.
 	// bestIdx is -1 when the shortcut does not apply.
 	bestIdx  int
 	bestFrom []int
@@ -56,78 +58,91 @@ type engine struct {
 	trialStart func(point, trial int)
 }
 
-func newEngine(p Panel, trials int) (*engine, error) {
-	requested := p.policyNames()
-	names := make([]string, len(requested))
-	solvers := make([]solve.Solver, len(requested))
-	for i, n := range requested {
+// Check resolves a spec the way a sweep does before its first trial:
+// the spec's own Validate (mesh and topology strings, their exclusivity,
+// the source name), every policy name against the solve registry
+// (HeuristicNames when the list is empty) and, on a non-mesh platform,
+// solve.CheckTopology. It binds no source, so it stays cheap enough for
+// request admission; a param/platform mismatch (a bit pattern on a 6x6
+// mesh) surfaces when the sweep starts.
+func Check(sp scenario.Spec) error {
+	_, _, err := resolve(sp)
+	return err
+}
+
+// resolve is Check returning what it resolved: the policies' solvers and
+// the non-mesh platform (nil on mesh specs).
+func resolve(sp scenario.Spec) ([]solve.Solver, topo.Topology, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, nil, err
+	}
+	names := sp.Policies
+	if len(names) == 0 {
+		names = HeuristicNames
+	}
+	solvers := make([]solve.Solver, len(names))
+	for i, n := range names {
 		s, err := solve.Lookup(n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		solvers[i] = s
-		names[i] = s.Name() // canonical casing for the series
 	}
-	mp, mq := 8, 8
-	if p.Mesh != "" {
-		var err error
-		if mp, mq, err = scenario.ParseMesh(p.Mesh); err != nil {
-			return nil, err
-		}
+	if sp.Topology == "" {
+		return solvers, nil, nil
 	}
-	carrier := (*mesh.Mesh)(nil)
-	var tp topo.Topology
-	if p.Topology != "" {
-		if p.Mesh != "" {
-			return nil, fmt.Errorf("experiments: panel %s sets both mesh %q and topology %q", p.ID, p.Mesh, p.Topology)
-		}
-		t, err := topo.Parse(p.Topology)
-		if err != nil {
-			return nil, err
-		}
-		if m, ok := t.(*mesh.Mesh); ok {
-			carrier = m
-		} else {
-			tp = t
-			carrier = t.Carrier()
-			if err := solve.CheckTopology(names, tp); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		carrier = mesh.MustNew(mp, mq)
+	tp, err := topo.Parse(sp.Topology)
+	if err != nil {
+		return nil, nil, err
 	}
-	srcName := p.Source
-	if srcName == "" {
-		srcName = "uniform"
+	if err := solve.CheckTopology(names, tp); err != nil {
+		return nil, nil, err
 	}
-	src, err := scenario.Lookup(srcName)
+	return solvers, tp, nil
+}
+
+// newEngine builds the engine of a spec whose captions and trial count
+// meta already resolved: Check first, then the platform, the power model
+// and every point's params, each bound once so a sweep fails loudly
+// before the first trial (e.g. a bit-defined permutation on a 6x6 mesh)
+// instead of mid-run on a worker.
+func newEngine(sp scenario.Spec, meta SweepMeta) (*engine, error) {
+	solvers, tp, err := resolve(sp)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{
-		m:       carrier,
 		tp:      tp,
-		model:   p.model(),
-		src:     src,
-		names:   names,
+		model:   power.KimHorowitz(),
 		solvers: solvers,
-		opts:    solve.Options{Order: p.Order},
-		trials:  trials,
+		names:   make([]string, len(solvers)),
+		trials:  meta.Trials,
 		bestIdx: -1,
 	}
-	// Pre-validate every point's params so a sweep fails loudly before
-	// the first trial (e.g. a bit-defined permutation on a 6x6 mesh)
-	// instead of mid-run on a worker.
-	for pi, pt := range p.Points {
-		if _, err := src.Bind(e.m, pt.W); err != nil {
-			return nil, fmt.Errorf("experiments: %s point %d (x=%g): source %q on %v: %w",
-				p.ID, pi, pt.X, src.Name(), e.m, err)
-		}
+	if sp.Power == "continuous" {
+		e.model = power.KimHorowitzContinuous()
 	}
-	byName := make(map[string]int, len(names))
-	for i, n := range names {
-		byName[n] = i
+	if tp != nil {
+		e.m = tp.Carrier()
+	} else {
+		p, q, _ := sp.MeshDims() // Validate parsed it
+		e.m = mesh.MustNew(p, q)
+	}
+	if e.src, err = scenario.Lookup(sp.SourceName()); err != nil {
+		return nil, err
+	}
+	for pi, x := range meta.X {
+		w := sp.At(x)
+		if _, err := e.src.Bind(e.m, w); err != nil {
+			return nil, fmt.Errorf("experiments: %s point %d (x=%g): source %q on %v: %w",
+				meta.ID, pi, x, e.src.Name(), e.m, err)
+		}
+		e.points = append(e.points, w)
+	}
+	byName := make(map[string]int, len(solvers))
+	for i, s := range solvers {
+		e.names[i] = s.Name() // canonical casing for the series
+		byName[e.names[i]] = i
 	}
 	if bi, ok := byName["BEST"]; ok {
 		from := make([]int, 0, len(ConstructiveNames))
@@ -180,11 +195,11 @@ func (e *engine) newSweepScratch(npts int) *sweepScratch {
 // drawer returns the worker's drawer for point pi, binding it on first
 // use. Bind errors are impossible here — newEngine pre-validated every
 // point — so they panic rather than plumb through the pooled loop.
-func (s *sweepScratch) drawer(e *engine, pi int, w Workload) scenario.Drawer {
+func (s *sweepScratch) drawer(e *engine, pi int) scenario.Drawer {
 	if d := s.drawers[pi]; d != nil {
 		return d
 	}
-	d, err := e.src.Bind(e.m, w)
+	d, err := e.src.Bind(e.m, e.points[pi])
 	if err != nil {
 		panic(fmt.Sprintf("experiments: pre-validated bind failed: %v", err))
 	}
@@ -202,7 +217,7 @@ func trialSeed(panelSeed int64, point, trial int) int64 {
 
 // runTrial draws and evaluates one seeded trial of one point, writing
 // every policy's outcome into the trial's row.
-func (e *engine) runTrial(s *sweepScratch, panelSeed int64, pi, trial int, pt Point, row []instanceOutcome) error {
+func (e *engine) runTrial(s *sweepScratch, panelSeed int64, pi, trial int, row []instanceOutcome) error {
 	if e.stop != nil && e.stop() {
 		return solve.ErrStopped
 	}
@@ -210,7 +225,7 @@ func (e *engine) runTrial(s *sweepScratch, panelSeed int64, pi, trial int, pt Po
 		e.trialStart(pi, trial)
 	}
 	seed := trialSeed(panelSeed, pi, trial)
-	set, err := s.drawer(e, pi, pt.W).Draw(seed, s.set)
+	set, err := s.drawer(e, pi).Draw(seed, s.set)
 	if err != nil {
 		return fmt.Errorf("experiments: point %d trial %d: %w", pi, trial, err)
 	}
@@ -284,15 +299,15 @@ func (p *outcomePool) put(s []instanceOutcome) {
 	p.mu.Unlock()
 }
 
-// sweep schedules the panel's (point, trial) space from the start index
+// sweep schedules the spec's (point, trial) space from the start index
 // on the work-stealing fleet and hands each completed point's outcome
 // rows to emit strictly in point order — the merge stage behind the
 // byte-identical streaming contract: out-of-order completions buffer
 // until every earlier point has been released to the sinks. An emit
 // error aborts the fleet and is returned (after a trial error, which
 // takes precedence).
-func (e *engine) sweep(panelSeed int64, points []Point, start, workers int, emit func(pi int, rows []instanceOutcome) error) error {
-	npts := len(points)
+func (e *engine) sweep(panelSeed int64, start, workers int, emit func(pi int, rows []instanceOutcome) error) error {
+	npts := len(e.points)
 	if start >= npts {
 		return nil
 	}
@@ -313,9 +328,8 @@ func (e *engine) sweep(panelSeed int64, points []Point, start, workers int, emit
 	run := func(s *sweepScratch, c chunk) error {
 		st := &states[c.point]
 		st.once.Do(func() { st.rows = pool.get() })
-		pt := points[c.point]
 		for trial := c.lo; trial < c.hi; trial++ {
-			if err := e.runTrial(s, panelSeed, c.point, trial, pt, st.rows[trial*npol:(trial+1)*npol]); err != nil {
+			if err := e.runTrial(s, panelSeed, c.point, trial, st.rows[trial*npol:(trial+1)*npol]); err != nil {
 				return err
 			}
 		}
@@ -383,53 +397,4 @@ func (e *engine) deriveBest(row []instanceOutcome) {
 		}
 	}
 	row[e.bestIdx] = best
-}
-
-// parallelFor runs f(0..n-1) on up to GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	parallelScratch(n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { f(i) })
-}
-
-// parallelScratch runs f(s, 0..n-1) on up to GOMAXPROCS workers, each
-// owning one scratch value built by newScratch — the shape the simple
-// experiment loops share: embarrassingly parallel tasks over reusable
-// per-worker state. Indexes are handed out in chunks off one atomic
-// cursor; the historical unbuffered-channel handoff cost one goroutine
-// rendezvous per index.
-func parallelScratch[S any](n int, newScratch func() S, f func(s S, i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := newScratch()
-		for i := 0; i < n; i++ {
-			f(s, i)
-		}
-		return
-	}
-	csize := chunkTrials(n, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := newScratch()
-			for {
-				lo := int(cursor.Add(int64(csize))) - csize
-				if lo >= n {
-					return
-				}
-				hi := lo + csize
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					f(s, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

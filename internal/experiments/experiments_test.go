@@ -3,7 +3,29 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"repro/internal/scenario"
 )
+
+// mustSpec returns a canned figure spec.
+func mustSpec(t testing.TB, id string) scenario.Spec {
+	t.Helper()
+	sp, err := SpecByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// mustRun evaluates a spec on all cores and collects it.
+func mustRun(t testing.TB, sp scenario.Spec) Result {
+	t.Helper()
+	res, err := Run(sp, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestFigure2Powers(t *testing.T) {
 	pxy, p1mp, p2mp, err := Figure2Powers()
@@ -16,21 +38,27 @@ func TestFigure2Powers(t *testing.T) {
 }
 
 func TestPanelRegistry(t *testing.T) {
-	ps := Panels()
-	for _, id := range []string{"fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c"} {
-		p, ok := ps[id]
+	specs := Specs()
+	if len(specs) != len(FigureIDs()) {
+		t.Fatalf("%d canned specs, want %d", len(specs), len(FigureIDs()))
+	}
+	for _, id := range FigureIDs() {
+		sp, ok := specs[id]
 		if !ok {
-			t.Fatalf("panel %s missing", id)
+			t.Fatalf("spec %s missing", id)
 		}
-		if len(p.Points) == 0 {
-			t.Errorf("panel %s has no points", id)
+		if len(sp.Points) == 0 {
+			t.Errorf("spec %s has no points", id)
+		}
+		if err := Check(sp); err != nil {
+			t.Errorf("spec %s: %v", id, err)
 		}
 	}
-	if _, err := PanelByID("fig7a"); err != nil {
+	if _, err := SpecByID("fig7a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PanelByID("nope"); err == nil {
-		t.Error("unknown panel accepted")
+	if _, err := SpecByID("nope"); err == nil {
+		t.Error("unknown spec accepted")
 	}
 }
 
@@ -39,10 +67,10 @@ func TestPanelRegistry(t *testing.T) {
 // BEST's value is 1 wherever it succeeds, failure ratios are monotone
 // features of the series (XY fails at least as often as BEST).
 func TestRunPanelInvariants(t *testing.T) {
-	p := Figure7a()
-	p.Points = p.Points[:4] // n = 5..30
-	p.Trials = 30
-	res := p.Run()
+	sp := mustSpec(t, "fig7a")
+	sp.Points = sp.Points[:4] // n = 5..30
+	sp.Trials = 30
+	res := mustRun(t, sp)
 	if len(res.Series) != len(HeuristicNames) {
 		t.Fatalf("series count %d", len(res.Series))
 	}
@@ -75,12 +103,12 @@ func TestRunPanelInvariants(t *testing.T) {
 	}
 }
 
-// Determinism: same panel, same seeds, same results.
+// Determinism: same spec, same seeds, same results.
 func TestRunPanelDeterministic(t *testing.T) {
-	p := Figure7c()
-	p.Points = p.Points[:3]
-	p.Trials = 12
-	a, b := p.Run(), p.Run()
+	sp := mustSpec(t, "fig7c")
+	sp.Points = sp.Points[:3]
+	sp.Trials = 12
+	a, b := mustRun(t, sp), mustRun(t, sp)
 	for si := range a.Series {
 		for pi := range a.X {
 			if a.Series[si].NormPowerInv[pi] != b.Series[si].NormPowerInv[pi] {
@@ -94,10 +122,10 @@ func TestRunPanelDeterministic(t *testing.T) {
 // than the Manhattan heuristics. Shrunk Figure 7(a) at n=60–80 should
 // already show a large gap.
 func TestXYFailsMoreThanManhattan(t *testing.T) {
-	p := Figure7a()
-	p.Points = []Point{{X: 70, W: Workload{N: 70, WMin: 100, WMax: 1500}}}
-	p.Trials = 40
-	res := p.Run()
+	sp := mustSpec(t, "fig7a")
+	sp.Points = []float64{70}
+	sp.Trials = 40
+	res := mustRun(t, sp)
 	xy := res.SeriesByName("XY").FailureRatio[0]
 	pr := res.SeriesByName("PR").FailureRatio[0]
 	xyi := res.SeriesByName("XYI").FailureRatio[0]
@@ -142,7 +170,10 @@ func TestRunLemma2(t *testing.T) {
 }
 
 func TestRunSummarySmall(t *testing.T) {
-	s := RunSummary(1, 4)
+	s, err := RunSummary(1, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Instances == 0 {
 		t.Fatal("no instances")
 	}
@@ -168,7 +199,7 @@ func TestRunSummarySmall(t *testing.T) {
 }
 
 func TestRunNoCValidation(t *testing.T) {
-	v, err := RunNoCValidation(3, 12)
+	v, err := RunNoCValidation(3, 12, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +212,14 @@ func TestRunNoCValidation(t *testing.T) {
 }
 
 func TestResultTablesRender(t *testing.T) {
-	p := Figure9c()
-	p.Points = p.Points[:2]
-	p.Trials = 5
-	res := p.Run()
-	np, fr := res.Tables()
+	sp := mustSpec(t, "fig9c")
+	sp.Points = sp.Points[:2]
+	sp.Trials = 5
+	ts := NewTableSink()
+	if err := Sweep(sp, SweepOptions{}, ts); err != nil {
+		t.Fatal(err)
+	}
+	np, fr := ts.Tables()
 	if len(np.Rows) != 2 || len(fr.Rows) != 2 {
 		t.Fatalf("table rows: %d, %d", len(np.Rows), len(fr.Rows))
 	}

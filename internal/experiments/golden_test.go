@@ -103,7 +103,10 @@ func TestGoldenFig2(t *testing.T) {
 }
 
 func TestGoldenSummary(t *testing.T) {
-	s := RunSummary(2, 1)
+	s, err := RunSummary(2, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tb := s.Table()
 	for _, row := range tb.Rows {
 		row[len(row)-1] = "" // mask mean solve time
@@ -158,7 +161,7 @@ func TestGoldenOptGapSpec(t *testing.T) {
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		var got bytes.Buffer
-		if err := OptGap(sp, GapOptions{Workers: workers}, NewGapCSVSink(&got)); err != nil {
+		if err := OptGap(sp, SweepOptions{Workers: workers}, 0, NewGapCSVSink(&got)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -168,7 +171,8 @@ func TestGoldenOptGapSpec(t *testing.T) {
 	}
 }
 
-// Every checked-in example spec parses, validates and expands.
+// Every checked-in example spec parses and passes the sweep's own
+// resolution step.
 func TestExampleSpecsValid(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
 	entries, err := os.ReadDir(dir)
@@ -186,7 +190,7 @@ func TestExampleSpecsValid(t *testing.T) {
 			t.Errorf("%s: %v", e.Name(), err)
 			continue
 		}
-		if _, err := PanelOf(sp); err != nil {
+		if err := Check(sp); err != nil {
 			t.Errorf("%s: %v", e.Name(), err)
 		}
 	}

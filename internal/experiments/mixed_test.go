@@ -6,21 +6,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/power"
+	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
-// A panel over a mixed policy list — single-path PR, equal-split 2MP and
+// A sweep over a mixed policy list — single-path PR, equal-split 2MP and
 // the Frank–Wolfe MAXMP — must agree exactly with solving each trial
 // instance directly through the core facade: same per-trial seeds, same
 // normalization against the best feasible power in the list.
 func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 	policies := []string{"PR", "2MP", "MAXMP"}
-	w := Workload{N: 8, WMin: 100, WMax: 1200}
-	p := Panel{ID: "mixed", XLabel: "x", Seed: 21, Trials: 4,
-		Policies: policies, Points: []Point{{X: 1, W: w}}}
-	res, err := p.RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := scenario.Params{N: 8, WMin: 100, WMax: 1200}
+	sp := scenario.Spec{ID: "mixed", Params: w, Seed: 21, Trials: 4, Policies: policies}
+	res := mustRun(t, sp)
 	if len(res.Series) != len(policies) {
 		t.Fatalf("series count %d, want %d", len(res.Series), len(policies))
 	}
@@ -28,10 +27,10 @@ func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 	// Recompute every trial through core.SolveWith and reduce by hand.
 	wantPow := make(map[string]float64)
 	wantFail := make(map[string]float64)
-	for trial := 0; trial < p.Trials; trial++ {
-		seed := trialSeed(p.Seed, 0, trial)
-		m := p.model()
-		set, err := drawSet(mesh.MustNew(8, 8), seed, w)
+	for trial := 0; trial < sp.Trials; trial++ {
+		seed := trialSeed(sp.Seed, 0, trial)
+		m := power.KimHorowitz()
+		set, err := scenario.DrawRandom(workload.New(mesh.MustNew(8, 8), 0), seed, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,32 +69,29 @@ func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing series %s", name)
 		}
-		// The panel's Welford mean and this plain sum/N may differ in the
+		// The sweep's Welford mean and this plain sum/N may differ in the
 		// last ulp; the underlying per-trial values are identical.
-		if got, want := s.NormPowerInv[0], wantPow[name]/float64(p.Trials); math.Abs(got-want) > 1e-12 {
+		if got, want := s.NormPowerInv[0], wantPow[name]/float64(sp.Trials); math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s norm power: panel %g, direct core %g", name, got, want)
 		}
-		if got, want := s.FailureRatio[0], wantFail[name]/float64(p.Trials); got != want {
+		if got, want := s.FailureRatio[0], wantFail[name]/float64(sp.Trials); got != want {
 			t.Errorf("%s failure ratio: panel %g, direct core %g", name, got, want)
 		}
 	}
 }
 
-// The acceptance sweep: a panel over {XY, PR, 2MP, MAXMP, SA} completes
+// The acceptance sweep: a sweep over {XY, PR, 2MP, MAXMP, SA} completes
 // and yields one well-formed series per policy.
 func TestFivePolicySweepCompletes(t *testing.T) {
-	p := Figure7a()
-	p.Points = p.Points[:2] // n = 5, 10
-	p.Trials = 3
-	p.Policies = []string{"XY", "PR", "2MP", "MAXMP", "SA"}
-	res, err := p.RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := mustSpec(t, "fig7a")
+	sp.Points = sp.Points[:2] // n = 5, 10
+	sp.Trials = 3
+	sp.Policies = []string{"XY", "PR", "2MP", "MAXMP", "SA"}
+	res := mustRun(t, sp)
 	if len(res.Series) != 5 {
 		t.Fatalf("series count %d", len(res.Series))
 	}
-	for _, name := range p.Policies {
+	for _, name := range sp.Policies {
 		s := res.SeriesByName(name)
 		if s == nil {
 			t.Fatalf("missing series %s", name)
@@ -113,20 +109,20 @@ func TestFivePolicySweepCompletes(t *testing.T) {
 
 // Unknown policies are reported, not silently dropped.
 func TestRunEUnknownPolicy(t *testing.T) {
-	p := Figure7a()
-	p.Policies = []string{"XY", "nope"}
-	if _, err := p.RunE(); err == nil {
+	sp := mustSpec(t, "fig7a")
+	sp.Policies = []string{"XY", "nope"}
+	if _, err := Run(sp, SweepOptions{}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 // Pooling is an optimization, not a semantic change: the scratch-reusing
-// engine reproduces the allocating baseline figure for figure.
+// engine reproduces the allocating reference runner figure for figure.
 func TestRunMatchesBaseline(t *testing.T) {
-	p := Figure7b()
-	p.Points = p.Points[:3]
-	p.Trials = 10
-	pooled, baseline := p.Run(), p.RunBaseline()
+	sp := mustSpec(t, "fig7b")
+	sp.Points = sp.Points[:3]
+	sp.Trials = 10
+	pooled, baseline := mustRun(t, sp), refBaseline(t, sp)
 	for si := range pooled.Series {
 		for pi := range pooled.X {
 			if pooled.Series[si].NormPowerInv[pi] != baseline.Series[si].NormPowerInv[pi] {
@@ -146,10 +142,10 @@ func TestRunMatchesBaseline(t *testing.T) {
 // The sweep with length-targeted workloads exercises the pair-cache reuse
 // path of the pooled engine.
 func TestRunMatchesBaselineLengthSweep(t *testing.T) {
-	p := Figure9c()
-	p.Points = p.Points[:2]
-	p.Trials = 6
-	pooled, baseline := p.Run(), p.RunBaseline()
+	sp := mustSpec(t, "fig9c")
+	sp.Points = sp.Points[:2]
+	sp.Trials = 6
+	pooled, baseline := mustRun(t, sp), refBaseline(t, sp)
 	for si := range pooled.Series {
 		for pi := range pooled.X {
 			if pooled.Series[si].NormPowerInv[pi] != baseline.Series[si].NormPowerInv[pi] ||

@@ -16,30 +16,6 @@ import (
 // of stalling the sweep.
 const DefaultGapMaxStates = 2_000_000
 
-// GapOptions tunes an optimality-gap sweep.
-type GapOptions struct {
-	// Workers is the number of persistent sweep workers (0 = GOMAXPROCS).
-	// Trial-level parallelism already saturates the cores, so each OPT
-	// solve runs serially (ExactWorkers=1) inside its worker; gap output
-	// is byte-identical at every worker count, like every sweep.
-	Workers int
-	// MaxStates is the per-instance OPT node budget
-	// (0 = DefaultGapMaxStates).
-	MaxStates int
-}
-
-// GapMeta describes a gap sweep to its sinks. Policies lists the heuristic
-// columns only — OPT is the denominator of every column, not a column.
-type GapMeta struct {
-	ID        string
-	Title     string
-	XLabel    string
-	Policies  []string
-	X         []float64
-	Trials    int
-	MaxStates int
-}
-
 // GapPoint is one fully evaluated gap point. MeanGap[i] is the mean of
 // P_heuristic/P_opt over the point's matched trials — those where both
 // the heuristic and OPT produced a feasible routing — so 1.000 means the
@@ -59,9 +35,11 @@ type GapPoint struct {
 }
 
 // GapSink consumes a gap sweep incrementally, one evaluated point at a
-// time in point order — the same streaming contract as Sink.
+// time in point order — the same streaming contract as Sink. The meta's
+// Policies lists the heuristic columns only (OPT is the denominator of
+// every column, not a column) and MaxStates carries the OPT node budget.
 type GapSink interface {
-	Begin(meta GapMeta) error
+	Begin(meta SweepMeta) error
 	Point(gp GapPoint) error
 	End() error
 }
@@ -70,108 +48,62 @@ type GapSink interface {
 // they carry one digit more than the figure tables.
 const gapPrec = 4
 
-// OptGap expands a declarative spec and streams its optimality-gap report
-// point by point into the sinks: every heuristic on every seeded trial of
-// each point, plus the exact branch-and-bound OPT on the same instance,
-// reduced to per-heuristic mean power ratios against the optimum. The
-// spec's policy list names the heuristic columns (OPT, if present, is
-// dropped — it is always the denominator); small meshes and communication
-// counts keep OPT tractable.
-func OptGap(sp scenario.Spec, opt GapOptions, sinks ...GapSink) error {
-	p, err := PanelOf(sp)
-	if err != nil {
-		return err
+// OptGap streams a spec's optimality-gap report point by point into the
+// sinks: every heuristic on every seeded trial of each point, plus the
+// exact branch-and-bound OPT on the same instance, reduced to
+// per-heuristic mean power ratios against the optimum. The spec's policy
+// list names the heuristic columns (OPT, if present, is dropped — it is
+// always the denominator); small meshes and communication counts keep OPT
+// tractable. maxStates is the per-instance OPT node budget
+// (0 = DefaultGapMaxStates). Trial-level parallelism already saturates
+// the cores, so each OPT solve runs serially inside its worker. Per-trial
+// seeds are the power sweep's (seed, point, trial) derivation, so the
+// instances under the gap report are exactly the instances of the
+// corresponding power sweep, and the output is byte-identical at every
+// worker count.
+func OptGap(sp scenario.Spec, opt SweepOptions, maxStates int, sinks ...GapSink) error {
+	names := sp.Policies
+	if len(names) == 0 {
+		names = HeuristicNames
 	}
-	return p.StreamGaps(opt, sinks...)
-}
-
-// StreamGaps runs the panel's heuristics and OPT through the pooled sweep
-// engine and emits each point's gap reduction to the sinks in point
-// order. Per-trial seeds are the sweep's (seed, point, trial) derivation,
-// so the instances under the gap report are exactly the instances of the
-// corresponding power sweep.
-func (p Panel) StreamGaps(opt GapOptions, sinks ...GapSink) error {
-	trials := p.Trials
-	if trials == 0 {
-		trials = DefaultTrials
-	}
-	heur := make([]string, 0, len(p.policyNames()))
-	for _, n := range p.policyNames() {
-		if strings.EqualFold(n, "OPT") {
-			continue
+	heur := make([]string, 0, len(names)+1)
+	for _, n := range names {
+		if !strings.EqualFold(n, "OPT") {
+			heur = append(heur, n)
 		}
-		heur = append(heur, n)
 	}
 	if len(heur) == 0 {
-		return fmt.Errorf("experiments: gap sweep %s has no heuristic policies", p.ID)
+		return fmt.Errorf("experiments: gap sweep %s has no heuristic policies", sp.ID)
 	}
-	q := p
-	q.Policies = append(append([]string{}, heur...), "OPT")
-	e, err := newEngine(q, trials)
-	if err != nil {
-		return err
+	if maxStates == 0 {
+		maxStates = DefaultGapMaxStates
 	}
-	ms := opt.MaxStates
-	if ms == 0 {
-		ms = DefaultGapMaxStates
-	}
-	e.opts.ExactWorkers = 1
-	e.opts.ExactMaxStates = ms
-
-	npol := len(e.solvers)
-	meta := GapMeta{
-		ID:        p.ID,
-		Title:     p.Title,
-		XLabel:    p.XLabel,
-		Policies:  e.names[:npol-1],
-		X:         xValues(p.Points),
-		Trials:    trials,
-		MaxStates: ms,
-	}
-	for _, sk := range sinks {
-		if err := sk.Begin(meta); err != nil {
-			return err
-		}
-	}
-	err = e.sweep(p.Seed, p.Points, 0, opt.Workers, func(pi int, rows []instanceOutcome) error {
-		gp := reduceGapPoint(pi, p.Points[pi].X, npol, trials, func(trial int) []instanceOutcome {
-			return rows[trial*npol : (trial+1)*npol]
-		})
-		for _, sk := range sinks {
-			if err := sk.Point(gp); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, sk := range sinks {
-		if err := sk.End(); err != nil {
-			return err
-		}
-	}
-	return nil
+	sp.Policies = append(heur, "OPT")
+	return stream(sp, opt, sinks, func(e *engine, meta *SweepMeta) {
+		e.opts.ExactWorkers = 1
+		e.opts.ExactMaxStates = maxStates
+		meta.Policies = meta.Policies[:len(meta.Policies)-1]
+		meta.MaxStates = maxStates
+	}, reduceGapPoint)
 }
 
-// reduceGapPoint folds one point's per-trial outcome rows (heuristics
-// first, OPT last) into its gap summary. A trial contributes to a
-// heuristic's mean only when both that heuristic and OPT were feasible on
-// the instance — OPT infeasibility proofs and budget truncations both
+// reduceGapPoint folds one point's outcome rows (trial-major, heuristics
+// first and OPT last in each) into its gap summary. A trial contributes
+// to a heuristic's mean only when both that heuristic and OPT were
+// feasible on the instance — OPT infeasibility proofs and budget truncations both
 // surface as infeasible outcomes and are excluded rather than skewing the
 // ratio.
-func reduceGapPoint(pi int, x float64, npol, trials int, rowAt func(trial int) []instanceOutcome) GapPoint {
+func reduceGapPoint(pi int, x float64, npol int, rows []instanceOutcome) GapPoint {
 	nheur := npol - 1
 	gp := GapPoint{
 		Index:   pi,
 		X:       x,
 		MeanGap: make([]float64, nheur),
 		Matched: make([]int, nheur),
-		Trials:  trials,
+		Trials:  len(rows) / npol,
 	}
-	for trial := 0; trial < trials; trial++ {
-		row := rowAt(trial)
+	for lo := 0; lo < len(rows); lo += npol {
+		row := rows[lo : lo+npol]
 		opt := row[nheur]
 		if !opt.feasible || opt.pow <= 0 {
 			continue
@@ -211,8 +143,11 @@ type GapCSVSink struct {
 // NewGapCSVSink returns a CSV gap sink over w.
 func NewGapCSVSink(w io.Writer) *GapCSVSink { return &GapCSVSink{W: w} }
 
-// Begin implements GapSink.
-func (s *GapCSVSink) Begin(meta GapMeta) error {
+// Begin implements GapSink. Like CSVSink, it writes no header on resume.
+func (s *GapCSVSink) Begin(meta SweepMeta) error {
+	if meta.Start > 0 {
+		return nil
+	}
 	header := append([]string{meta.XLabel}, meta.Policies...)
 	header = append(header, "opt_solved")
 	_, err := io.WriteString(s.W, tables.CSVLine(header))
@@ -234,62 +169,17 @@ func (s *GapCSVSink) Point(gp GapPoint) error {
 // End implements GapSink.
 func (s *GapCSVSink) End() error { return nil }
 
-// GapMarkdownSink streams the gap report as one GitHub-flavored markdown
-// table, one row per point as it completes: each heuristic column carries
-// "gap (matched/trials)", the last column the OPT solve count.
-type GapMarkdownSink struct {
-	W io.Writer
-}
-
-// NewGapMarkdownSink returns a streaming markdown gap sink over w.
-func NewGapMarkdownSink(w io.Writer) *GapMarkdownSink { return &GapMarkdownSink{W: w} }
-
-// Begin implements GapSink.
-func (s *GapMarkdownSink) Begin(meta GapMeta) error {
-	if _, err := fmt.Fprintf(s.W, "**%s** — mean heuristic power / OPT power (matched trials)\n\n", meta.Title); err != nil {
-		return err
-	}
-	header := append([]string{meta.XLabel}, meta.Policies...)
-	header = append(header, "OPT solved")
-	if _, err := io.WriteString(s.W, tables.MarkdownRow(header)); err != nil {
-		return err
-	}
-	_, err := io.WriteString(s.W, tables.MarkdownSeparator(len(header)))
-	return err
-}
-
-// Point implements GapSink.
-func (s *GapMarkdownSink) Point(gp GapPoint) error {
-	cells := make([]string, 0, len(gp.MeanGap)+2)
-	cells = append(cells, xLabel(gp.X))
-	for si := range gp.MeanGap {
-		if gp.Matched[si] == 0 {
-			cells = append(cells, "—")
-			continue
-		}
-		cells = append(cells, fmt.Sprintf("%.*f (%d/%d)", gapPrec, gp.MeanGap[si], gp.Matched[si], gp.Trials))
-	}
-	cells = append(cells, fmt.Sprintf("%d/%d", gp.OptSolved, gp.Trials))
-	_, err := io.WriteString(s.W, tables.MarkdownRow(cells))
-	return err
-}
-
-// End implements GapSink.
-func (s *GapMarkdownSink) End() error { return nil }
-
 // GapTableSink accumulates the gap report into one aligned text table for
 // terminal rendering after the sweep completes.
 type GapTableSink struct {
 	table *tables.Table
-	meta  GapMeta
 }
 
 // NewGapTableSink returns an accumulating gap table sink.
 func NewGapTableSink() *GapTableSink { return &GapTableSink{} }
 
 // Begin implements GapSink.
-func (s *GapTableSink) Begin(meta GapMeta) error {
-	s.meta = meta
+func (s *GapTableSink) Begin(meta SweepMeta) error {
 	headers := append([]string{meta.XLabel}, meta.Policies...)
 	headers = append(headers, "OPT solved")
 	s.table = tables.New(meta.Title+" — mean power / OPT power", headers...)
@@ -317,40 +207,3 @@ func (s *GapTableSink) End() error { return nil }
 
 // Table returns the accumulated table (nil before Begin).
 func (s *GapTableSink) Table() *tables.Table { return s.table }
-
-// GapResult is a fully collected gap sweep, for callers (tests, the
-// repository's own analysis) that want the points in memory.
-type GapResult struct {
-	Policies  []string
-	X         []float64
-	Points    []GapPoint
-	MaxStates int
-}
-
-// gapResultSink collects a gap stream into a GapResult.
-type gapResultSink struct {
-	result GapResult
-}
-
-func (s *gapResultSink) Begin(meta GapMeta) error {
-	s.result.Policies = meta.Policies
-	s.result.X = meta.X
-	s.result.MaxStates = meta.MaxStates
-	return nil
-}
-
-func (s *gapResultSink) Point(gp GapPoint) error {
-	s.result.Points = append(s.result.Points, gp)
-	return nil
-}
-
-func (s *gapResultSink) End() error { return nil }
-
-// RunGaps evaluates the panel's gap report and collects it.
-func (p Panel) RunGaps(opt GapOptions) (GapResult, error) {
-	rs := &gapResultSink{}
-	if err := p.StreamGaps(opt, rs); err != nil {
-		return GapResult{}, err
-	}
-	return rs.result, nil
-}

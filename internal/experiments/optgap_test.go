@@ -5,45 +5,59 @@ import (
 	"testing"
 
 	_ "repro/internal/core" // register every policy
+	"repro/internal/scenario"
 )
 
-// gapPanel is a small panel OPT closes comfortably: 4x4 mesh, few comms.
-func gapPanel() Panel {
-	return Panel{
-		ID:     "gaptest",
-		Title:  "gap test",
-		XLabel: "n",
+// gapSpec is a small sweep OPT closes comfortably: 4x4 mesh, few comms.
+func gapSpec() scenario.Spec {
+	return scenario.Spec{
+		ID: "gaptest", Title: "gap test", XLabel: "n",
 		Mesh:   "4x4",
-		Points: []Point{
-			{X: 3, W: Workload{N: 3, WMin: 100, WMax: 900}},
-			{X: 5, W: Workload{N: 5, WMin: 100, WMax: 900}},
-		},
+		Params: scenario.Params{WMin: 100, WMax: 900},
+		Axis:   scenario.AxisN, Points: []float64{3, 5},
 		Policies: []string{"XY", "PR", "BEST"},
-		Trials:   8,
-		Seed:     7,
+		Trials:   8, Seed: 7,
 	}
+}
+
+// gapRecorder collects a gap stream in memory.
+type gapRecorder struct {
+	meta   SweepMeta
+	points []GapPoint
+	ended  bool
+}
+
+func (s *gapRecorder) Begin(meta SweepMeta) error { s.meta = meta; return nil }
+func (s *gapRecorder) Point(gp GapPoint) error    { s.points = append(s.points, gp); return nil }
+func (s *gapRecorder) End() error                 { s.ended = true; return nil }
+
+// runGaps streams a spec's gap report on all cores into a recorder.
+func runGaps(t *testing.T, sp scenario.Spec, maxStates int) *gapRecorder {
+	t.Helper()
+	gr := &gapRecorder{}
+	if err := OptGap(sp, SweepOptions{}, maxStates, gr); err != nil {
+		t.Fatal(err)
+	}
+	return gr
 }
 
 // Every matched single-path heuristic gap is >= 1: OPT is optimal over
 // exactly the routings the heuristics choose from. This is the invariant
 // the CI smoke step asserts on the CSV output.
 func TestGapsAtLeastOne(t *testing.T) {
-	res, err := gapPanel().RunGaps(GapOptions{})
-	if err != nil {
-		t.Fatal(err)
+	res := runGaps(t, gapSpec(), 0)
+	if len(res.points) != 2 || !res.ended {
+		t.Fatalf("expected 2 points and End, got %d (ended=%v)", len(res.points), res.ended)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("expected 2 points, got %d", len(res.Points))
-	}
-	if res.MaxStates != DefaultGapMaxStates {
-		t.Fatalf("default MaxStates not applied: %d", res.MaxStates)
+	if res.meta.MaxStates != DefaultGapMaxStates {
+		t.Fatalf("default MaxStates not applied: %d", res.meta.MaxStates)
 	}
 	anyMatched := false
-	for _, gp := range res.Points {
+	for _, gp := range res.points {
 		if gp.OptSolved == 0 {
 			t.Fatalf("point x=%g: OPT solved no trials", gp.X)
 		}
-		for si, name := range res.Policies {
+		for si, name := range res.meta.Policies {
 			if gp.Matched[si] == 0 {
 				continue
 			}
@@ -65,14 +79,11 @@ func TestGapsAtLeastOne(t *testing.T) {
 // heuristics, so on every matched instance its ratio is <= each of
 // theirs.
 func TestGapBestIsTightest(t *testing.T) {
-	p := gapPanel()
-	p.Policies = []string{"XY", "SG", "IG", "TB", "XYI", "PR", "BEST"}
-	res, err := p.RunGaps(GapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := gapSpec()
+	sp.Policies = []string{"XY", "SG", "IG", "TB", "XYI", "PR", "BEST"}
+	res := runGaps(t, sp, 0)
 	bi := -1
-	for i, n := range res.Policies {
+	for i, n := range res.meta.Policies {
 		if n == "BEST" {
 			bi = i
 		}
@@ -80,11 +91,11 @@ func TestGapBestIsTightest(t *testing.T) {
 	if bi < 0 {
 		t.Fatal("BEST column missing")
 	}
-	for _, gp := range res.Points {
+	for _, gp := range res.points {
 		if gp.Matched[bi] == 0 {
 			continue
 		}
-		for si, name := range res.Policies {
+		for si, name := range res.meta.Policies {
 			if si == bi || gp.Matched[si] != gp.Matched[bi] {
 				continue
 			}
@@ -98,28 +109,25 @@ func TestGapBestIsTightest(t *testing.T) {
 // An explicit OPT in the spec's policy list is dropped from the columns,
 // not doubled into them.
 func TestGapDropsExplicitOPT(t *testing.T) {
-	p := gapPanel()
-	p.Policies = []string{"XY", "OPT", "PR"}
-	res, err := p.RunGaps(GapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Policies) != 2 || res.Policies[0] != "XY" || res.Policies[1] != "PR" {
-		t.Fatalf("expected columns [XY PR], got %v", res.Policies)
+	sp := gapSpec()
+	sp.Policies = []string{"XY", "OPT", "PR"}
+	res := runGaps(t, sp, 0)
+	if got := res.meta.Policies; len(got) != 2 || got[0] != "XY" || got[1] != "PR" {
+		t.Fatalf("expected columns [XY PR], got %v", got)
 	}
 }
 
 // Gap output is byte-identical at every worker count — the sweep engine's
 // ordered merge plus OPT's own determinism contract.
 func TestGapDeterministicAcrossWorkers(t *testing.T) {
-	p := gapPanel()
 	var outs []string
 	for _, workers := range []int{1, 3} {
-		var csv, md strings.Builder
-		if err := p.StreamGaps(GapOptions{Workers: workers}, NewGapCSVSink(&csv), NewGapMarkdownSink(&md)); err != nil {
+		var csv strings.Builder
+		ts := NewGapTableSink()
+		if err := OptGap(gapSpec(), SweepOptions{Workers: workers}, 0, NewGapCSVSink(&csv), ts); err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, csv.String()+"\n----\n"+md.String())
+		outs = append(outs, csv.String()+"\n----\n"+ts.Table().String())
 	}
 	if outs[0] != outs[1] {
 		t.Fatalf("gap output differs between 1 and 3 workers:\n%s\nvs\n%s", outs[0], outs[1])
@@ -129,11 +137,8 @@ func TestGapDeterministicAcrossWorkers(t *testing.T) {
 // A starved budget surfaces as unsolved trials, not an error or a wrong
 // ratio: with MaxStates=1 OPT closes nothing.
 func TestGapBudgetTruncation(t *testing.T) {
-	res, err := gapPanel().RunGaps(GapOptions{MaxStates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gp := range res.Points {
+	res := runGaps(t, gapSpec(), 1)
+	for _, gp := range res.points {
 		if gp.OptSolved != 0 {
 			t.Fatalf("point x=%g: OPT solved %d trials on a 1-state budget", gp.X, gp.OptSolved)
 		}

@@ -30,19 +30,14 @@ type PatternRow struct {
 }
 
 // RunPatterns routes the classic permutation benchmarks (bit-complement,
-// bit-reverse, shuffle, tornado, neighbor) on the paper's 8×8 mesh with
-// every heuristic. Patterns are deterministic, so no trials are involved;
-// the experiment extends the paper's random workloads with the structured
+// bit-reverse, shuffle, tornado, neighbor) on the paper's 8×8 mesh with a
+// policy list (nil means ConstructiveNames); BEST is derived as the best
+// feasible of the list, and a literal "BEST" entry is absorbed into the
+// derived column so any -policies list the figure sweeps accept works
+// here too. Patterns are deterministic, so no trials are involved; the
+// experiment extends the paper's random workloads with the structured
 // traffic the NoC literature evaluates on.
-func RunPatterns(rate float64) ([]PatternRow, error) {
-	return RunPatternsWith(rate, nil)
-}
-
-// RunPatternsWith is RunPatterns over an explicit registered policy list
-// (nil means ConstructiveNames); BEST is derived as the best feasible of
-// the list, and a literal "BEST" entry is absorbed into the derived
-// column so any -policies list the figure sweeps accept works here too.
-func RunPatternsWith(rate float64, policies []string) ([]PatternRow, error) {
+func RunPatterns(rate float64, policies []string) ([]PatternRow, error) {
 	policies = dropBest(policies)
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()

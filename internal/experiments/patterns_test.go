@@ -6,7 +6,7 @@ import (
 )
 
 func TestRunPatternsBasics(t *testing.T) {
-	rows, err := RunPatterns(600)
+	rows, err := RunPatterns(600, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunPatternsBasics(t *testing.T) {
 // everyone; at a punishing rate the structured patterns separate XY from
 // the Manhattan heuristics.
 func TestPatternsSeparateHeuristics(t *testing.T) {
-	light, err := RunPatterns(300)
+	light, err := RunPatterns(300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPatternsSeparateHeuristics(t *testing.T) {
 			}
 		}
 	}
-	heavy, err := RunPatterns(1600)
+	heavy, err := RunPatterns(1600, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPatternsSeparateHeuristics(t *testing.T) {
 }
 
 func TestPatternTableRenders(t *testing.T) {
-	rows, err := RunPatterns(900)
+	rows, err := RunPatterns(900, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

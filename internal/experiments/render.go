@@ -2,36 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/tables"
 )
-
-// Tables renders a panel result as the two tables matching the paper's
-// two y-axes: normalized power inverse and failure ratio, one row per
-// x-value, one column per policy of the panel's list.
-func (r Result) Tables() (normPower, failures *tables.Table) {
-	headers := make([]string, 0, len(r.Series)+1)
-	headers = append(headers, r.Panel.XLabel)
-	for _, s := range r.Series {
-		headers = append(headers, s.Name)
-	}
-	normPower = tables.New(r.Panel.Title+" — normalized power inverse", headers...)
-	failures = tables.New(r.Panel.Title+" — failure ratio", headers...)
-	for pi, x := range r.X {
-		np := make([]float64, 0, len(r.Series))
-		fr := make([]float64, 0, len(r.Series))
-		for _, s := range r.Series {
-			np = append(np, s.NormPowerInv[pi])
-			fr = append(fr, s.FailureRatio[pi])
-		}
-		label := fmt.Sprintf("%g", x)
-		normPower.AddFloatRow(label, 3, np...)
-		failures.AddFloatRow(label, 3, fr...)
-	}
-	return normPower, failures
-}
 
 // Table renders the §6.4 summary against the paper's reported values.
 func (s Summary) Table() *tables.Table {
@@ -123,15 +97,4 @@ func OpenProblemTable(rows []OpenProblemRow, alpha float64) *tables.Table {
 			fmt.Sprintf("%.3f", r.Ratio), opt)
 	}
 	return t
-}
-
-// SortedHeuristics returns heuristic names sorted for deterministic map
-// iteration in reports.
-func SortedHeuristics(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -5,14 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/comm"
-	"repro/internal/mesh"
-	"repro/internal/power"
-	"repro/internal/route"
 	"repro/internal/scenario"
-	"repro/internal/solve"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // ConstructiveNames are the paper's six constructive single-path
@@ -20,26 +14,25 @@ import (
 var ConstructiveNames = []string{"XY", "SG", "IG", "TB", "XYI", "PR"}
 
 // HeuristicNames is the plotting order of the Section 6 figures
-// (the constructive heuristics plus BEST), and the policy list a panel
-// sweeps when Panel.Policies is empty.
+// (the constructive heuristics plus BEST), and the policy list a sweep
+// evaluates when its spec lists no policies.
 var HeuristicNames = append(append([]string{}, ConstructiveNames...), "BEST")
 
-// Series is one policy's curve across the panel's points: the two y-axes
+// Series is one policy's curve across the sweep's points: the two y-axes
 // of Figures 7–9.
 type Series struct {
 	Name string
 	// NormPowerInv is the mean of (1/P_policy)/(1/P_best) per point, with
 	// failed instances contributing 0 — the paper's normalization, where
-	// P_best is the lowest feasible power any of the panel's policies
+	// P_best is the lowest feasible power any of the sweep's policies
 	// found on that instance.
 	NormPowerInv []float64
 	// FailureRatio is the fraction of instances with no valid solution.
 	FailureRatio []float64
 }
 
-// Result is a fully evaluated panel.
+// Result is a fully evaluated sweep, collected in memory by Run.
 type Result struct {
-	Panel  Panel
 	X      []float64
 	Series []Series
 }
@@ -59,22 +52,6 @@ type instanceOutcome struct {
 	feasible bool
 	pow      float64
 	static   float64
-}
-
-// model returns the panel's power model.
-func (p Panel) model() power.Model {
-	if p.Continuous {
-		return power.KimHorowitzContinuous()
-	}
-	return power.KimHorowitz()
-}
-
-// policyNames returns the panel's policy list (default HeuristicNames).
-func (p Panel) policyNames() []string {
-	if len(p.Policies) > 0 {
-		return p.Policies
-	}
-	return HeuristicNames
 }
 
 // dropBest strips "BEST" from a policy list for the runners that always
@@ -109,7 +86,7 @@ type SweepOptions struct {
 	Workers int
 	// Context, when non-nil, cancels the sweep: workers stop pulling
 	// chunks, in-flight long solves abandon via solve.Options.Stop, and
-	// Stream returns the context's error. Points already released to the
+	// the sweep returns the context's error. Points already released to the
 	// sinks stay valid checkpoints (the resume contract), the sinks' End
 	// is never called on a cancelled run, and a nil or never-cancelled
 	// Context leaves the output byte-identical to a run without one.
@@ -122,30 +99,66 @@ type SweepOptions struct {
 	TrialStart func(point, trial int)
 }
 
-// Sweep expands a declarative spec and streams its evaluation point by
-// point into the sinks: every policy on every seeded trial of each point,
-// reduced to the paper's normalized-inverse-power and failure-ratio
-// series. Sinks receive each point as soon as it is evaluated, so long
-// sweeps emit partial results and can be resumed by point index after an
+// Sweep streams a spec's evaluation point by point into the sinks:
+// every policy on every seeded trial of each point, reduced to the
+// paper's normalized-inverse-power and failure-ratio series. Sinks
+// receive each point as soon as it is evaluated, so long sweeps emit
+// partial results and can be resumed by point index after an
 // interruption.
 func Sweep(sp scenario.Spec, opt SweepOptions, sinks ...Sink) error {
-	p, err := PanelOf(sp)
-	if err != nil {
-		return err
-	}
-	return p.Stream(opt, sinks...)
+	return stream(sp, opt, sinks, nil, reducePoint)
 }
 
-// Stream runs the panel through the pooled engine on the work-stealing
-// scheduler, emitting each evaluated point to the sinks in point order.
-// It is the core every runner shares: Sweep feeds it specs, Run collects
-// its stream into a Result.
-func (p Panel) Stream(opt SweepOptions, sinks ...Sink) error {
-	trials := p.Trials
-	if trials == 0 {
-		trials = DefaultTrials
+// Run evaluates a spec and collects its series in memory — Sweep into
+// one accumulating sink. Results are deterministic: per-trial seeds are
+// derived from (seed, point, trial) and the reduction is ordered.
+func Run(sp scenario.Spec, opt SweepOptions) (Result, error) {
+	rs := &resultSink{}
+	if err := Sweep(sp, opt, rs); err != nil {
+		return Result{}, err
 	}
-	e, err := newEngine(p, trials)
+	return rs.result, nil
+}
+
+// pointSink is the streaming contract Sink and GapSink share over their
+// point record type.
+type pointSink[P any] interface {
+	Begin(meta SweepMeta) error
+	Point(p P) error
+	End() error
+}
+
+// stream is the one sweep loop behind Sweep and OptGap: it resolves the
+// spec's captions and trial count into the meta, builds the engine,
+// announces the meta to the sinks, runs the (point, trial) space on the
+// work-stealing scheduler, reduces each completed point and emits it in
+// point order, and ends the sinks — or returns the context's error when
+// the sweep was cancelled, with End never called. tune, when non-nil,
+// adjusts the engine and its meta before the first Begin.
+func stream[P any, S pointSink[P]](sp scenario.Spec, opt SweepOptions, sinks []S,
+	tune func(e *engine, meta *SweepMeta),
+	reduce func(pi int, x float64, npol int, rows []instanceOutcome) P) error {
+	meta := SweepMeta{
+		ID:     sp.ID,
+		Title:  sp.Title,
+		XLabel: sp.XLabel,
+		X:      sp.XValues(),
+		Trials: sp.Trials,
+		Start:  opt.Start,
+	}
+	if meta.ID == "" {
+		meta.ID = "sweep"
+	}
+	if meta.Title == "" {
+		meta.Title = fmt.Sprintf("%s sweep (%s)", sp.SourceName(), meta.ID)
+	}
+	if meta.XLabel == "" {
+		meta.XLabel = sp.DefaultXLabel()
+	}
+	if meta.Trials == 0 {
+		meta.Trials = DefaultTrials
+	}
+	e, err := newEngine(sp, meta)
 	if err != nil {
 		return err
 	}
@@ -153,17 +166,12 @@ func (p Panel) Stream(opt SweepOptions, sinks ...Sink) error {
 		e.stop = func() bool { return ctx.Err() != nil }
 	}
 	e.trialStart = opt.TrialStart
-	if opt.Start < 0 || opt.Start > len(p.Points) {
-		return fmt.Errorf("experiments: resume point %d outside 0..%d", opt.Start, len(p.Points))
+	if opt.Start < 0 || opt.Start > len(meta.X) {
+		return fmt.Errorf("experiments: resume point %d outside 0..%d", opt.Start, len(meta.X))
 	}
-	meta := SweepMeta{
-		ID:       p.ID,
-		Title:    p.Title,
-		XLabel:   p.XLabel,
-		Policies: e.names,
-		X:        xValues(p.Points),
-		Trials:   trials,
-		Start:    opt.Start,
+	meta.Policies = e.names
+	if tune != nil {
+		tune(e, &meta)
 	}
 	for _, sk := range sinks {
 		if err := sk.Begin(meta); err != nil {
@@ -171,12 +179,10 @@ func (p Panel) Stream(opt SweepOptions, sinks ...Sink) error {
 		}
 	}
 	npol := len(e.solvers)
-	err = e.sweep(p.Seed, p.Points, opt.Start, opt.Workers, func(pi int, rows []instanceOutcome) error {
-		pr := reducePoint(pi, p.Points[pi].X, npol, trials, func(trial int) []instanceOutcome {
-			return rows[trial*npol : (trial+1)*npol]
-		})
+	err = e.sweep(sp.Seed, opt.Start, opt.Workers, func(pi int, rows []instanceOutcome) error {
+		p := reduce(pi, meta.X[pi], npol, rows)
 		for _, sk := range sinks {
-			if err := sk.Point(pr); err != nil {
+			if err := sk.Point(p); err != nil {
 				return err
 			}
 		}
@@ -199,24 +205,15 @@ func (p Panel) Stream(opt SweepOptions, sinks ...Sink) error {
 	return nil
 }
 
-func xValues(pts []Point) []float64 {
-	xs := make([]float64, len(pts))
-	for i, pt := range pts {
-		xs[i] = pt.X
-	}
-	return xs
-}
-
-// reducePoint folds one point's per-trial outcome rows into the two
-// series values of that point: normalized inverse power against the best
-// feasible policy of each row, and failure ratio — the paper's
-// normalization, shared by the streaming runner and the benchmark
-// baseline so neither can drift.
-func reducePoint(pi int, x float64, npol, trials int, rowAt func(trial int) []instanceOutcome) PointResult {
+// reducePoint folds one point's outcome rows (trial-major, npol per
+// trial) into the two series values of that point: normalized inverse
+// power against the best feasible policy of each row, and failure ratio
+// — the paper's normalization.
+func reducePoint(pi int, x float64, npol int, rows []instanceOutcome) PointResult {
 	accPow := make([]stats.Accumulator, npol)
 	accFail := make([]stats.Ratio, npol)
-	for trial := 0; trial < trials; trial++ {
-		row := rowAt(trial)
+	for lo := 0; lo < len(rows); lo += npol {
+		row := rows[lo : lo+npol]
 		best := -1.0
 		for _, o := range row {
 			if o.feasible && (best < 0 || o.pow < best) {
@@ -243,120 +240,4 @@ func reducePoint(pi int, x float64, npol, trials int, rowAt func(trial int) []in
 		pr.FailureRatio[si] = accFail[si].Value()
 	}
 	return pr
-}
-
-// Run evaluates the panel: Trials random instances per point (on a pooled
-// engine with per-worker scratch), every policy of the panel's list on
-// every instance, reduced to the normalized-inverse-power and
-// failure-ratio series. Results are deterministic: per-trial seeds are
-// derived from (panel seed, point, trial) and the reduction is ordered.
-// Run panics on an unregistered policy name; RunE reports it as an error.
-func (p Panel) Run() Result {
-	res, err := p.RunE()
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunE is Run returning resolution errors instead of panicking.
-func (p Panel) RunE() (Result, error) {
-	rs := &resultSink{}
-	if err := p.Stream(SweepOptions{}, rs); err != nil {
-		return Result{}, err
-	}
-	rs.result.Panel = p
-	return rs.result, nil
-}
-
-// RunBaseline is the pre-engine reference runner: the same trials, seeds
-// and reduction as Run, but allocating per trial — a fresh workload
-// generator, a fresh evaluation, fresh outcome rows — instead of reusing
-// worker scratch. It exists so the repository benchmarks can quantify the
-// pooled engine against it and tests can cross-check that pooling never
-// changes a figure. It panics on any error; RunBaselineE reports them.
-func (p Panel) RunBaseline() Result {
-	res, err := p.RunBaselineE()
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunBaselineE is RunBaseline surfacing setup and draw errors instead of
-// panicking. Draw errors historically panicked inside worker goroutines,
-// where no recover can reach them — they crashed the process; now the
-// first one halts the workers and is returned.
-func (p Panel) RunBaselineE() (Result, error) {
-	if p.Source != "" && p.Source != "uniform" {
-		return Result{}, fmt.Errorf("experiments: RunBaseline supports only the uniform source, not %q", p.Source)
-	}
-	if p.Topology != "" {
-		return Result{}, fmt.Errorf("experiments: RunBaseline supports only mesh platforms, not topology %q", p.Topology)
-	}
-	trials := p.Trials
-	if trials == 0 {
-		trials = DefaultTrials
-	}
-	e, err := newEngine(p, trials)
-	if err != nil {
-		return Result{}, err
-	}
-	npol := len(e.solvers)
-	rs := &resultSink{}
-	meta := SweepMeta{ID: p.ID, Title: p.Title, XLabel: p.XLabel,
-		Policies: e.names, X: xValues(p.Points), Trials: trials}
-	if err := rs.Begin(meta); err != nil {
-		return Result{}, err
-	}
-	var ferr firstError
-	for pi, pt := range p.Points {
-		outcomes := make([][]instanceOutcome, trials)
-		parallelFor(trials, func(trial int) {
-			if ferr.Failed() {
-				return
-			}
-			seed := trialSeed(p.Seed, pi, trial)
-			set, err := drawSet(e.m, seed, pt.W)
-			if err != nil {
-				ferr.Report(fmt.Errorf("experiments: point %d trial %d: %w", pi, trial, err))
-				return
-			}
-			in := solve.Instance{Mesh: e.m, Model: e.model, Comms: set}
-			opts := e.opts
-			opts.Seed = seed
-			row := make([]instanceOutcome, npol)
-			for si, solver := range e.solvers {
-				if si == e.bestIdx {
-					continue
-				}
-				r, err := solver.Route(in, opts)
-				if err != nil {
-					continue
-				}
-				ev := route.Evaluate(r, e.model)
-				row[si] = instanceOutcome{feasible: ev.Feasible, pow: ev.Power.Total(), static: ev.Power.Static}
-			}
-			e.deriveBest(row)
-			outcomes[trial] = row
-		})
-		if err := ferr.Err(); err != nil {
-			return Result{}, err
-		}
-		pr := reducePoint(pi, pt.X, npol, trials, func(trial int) []instanceOutcome {
-			return outcomes[trial]
-		})
-		if err := rs.Point(pr); err != nil {
-			return Result{}, err
-		}
-	}
-	rs.result.Panel = p
-	return rs.result, nil
-}
-
-// drawSet draws one instance of a workload with a throwaway generator
-// (the random family only — the baseline runner predates the scenario
-// registry and exists to benchmark allocation behavior, not sources).
-func drawSet(m *mesh.Mesh, seed int64, w Workload) (comm.Set, error) {
-	return scenario.DrawRandom(workload.New(m, 0), seed, w, nil)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // SweepMeta describes a streaming sweep to its sinks: captions, the
-// canonical policy order of every PointResult's value slices, the planned
+// canonical policy order of every point's value slices, the planned
 // x-positions, and the resume offset (sinks appending to existing output
 // skip their headers when Start is non-zero).
 type SweepMeta struct {
@@ -20,6 +20,9 @@ type SweepMeta struct {
 	X        []float64
 	Trials   int
 	Start    int
+	// MaxStates is a gap sweep's per-instance OPT node budget (0 on power
+	// sweeps).
+	MaxStates int
 }
 
 // PointResult is one fully evaluated sweep point: the two y-values of
@@ -196,47 +199,6 @@ func (s *TableSink) Tables() (normPower, failures *tables.Table) {
 	return s.normPower, s.failures
 }
 
-// MarkdownSink streams the sweep as one GitHub-flavored markdown table,
-// one row per point as it completes: each policy column carries
-// "normPower (failureRatio)". Markdown needs no column alignment, so the
-// table is valid at every prefix — the human-readable streaming format.
-type MarkdownSink struct {
-	W io.Writer
-}
-
-// NewMarkdownSink returns a streaming markdown sink over w.
-func NewMarkdownSink(w io.Writer) *MarkdownSink { return &MarkdownSink{W: w} }
-
-// Begin implements Sink.
-func (s *MarkdownSink) Begin(meta SweepMeta) error {
-	if meta.Start > 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(s.W, "**%s** — normalized power inverse (failure ratio)\n\n", meta.Title); err != nil {
-		return err
-	}
-	header := append([]string{meta.XLabel}, meta.Policies...)
-	if _, err := io.WriteString(s.W, tables.MarkdownRow(header)); err != nil {
-		return err
-	}
-	_, err := io.WriteString(s.W, tables.MarkdownSeparator(len(header)))
-	return err
-}
-
-// Point implements Sink.
-func (s *MarkdownSink) Point(pr PointResult) error {
-	cells := make([]string, 0, len(pr.NormPowerInv)+1)
-	cells = append(cells, xLabel(pr.X))
-	for i := range pr.NormPowerInv {
-		cells = append(cells, fmt.Sprintf("%.*f (%.*f)", floatPrec, pr.NormPowerInv[i], floatPrec, pr.FailureRatio[i]))
-	}
-	_, err := io.WriteString(s.W, tables.MarkdownRow(cells))
-	return err
-}
-
-// End implements Sink.
-func (s *MarkdownSink) End() error { return nil }
-
 // ProgressSink reports sweep progress one line per completed point —
 // the operator's heartbeat on long sweeps, typically over stderr.
 type ProgressSink struct {
@@ -278,8 +240,7 @@ func (s *ProgressSink) label() string {
 	return "sweep"
 }
 
-// resultSink collects a stream back into the Result every non-streaming
-// caller (Run, the repository tests and benchmarks) consumes.
+// resultSink collects a stream into the Result Run returns.
 type resultSink struct {
 	result Result
 }

@@ -89,24 +89,13 @@ type Summary struct {
 }
 
 // RunSummary draws trialsPerPoint instances per point of every canned
-// Figure 7–9 spec and accumulates the §6.4 statistics over the paper's
-// constructive heuristics.
-func RunSummary(trialsPerPoint int, seed int64) Summary {
-	s, err := RunSummaryWith(trialsPerPoint, seed, nil)
-	if err != nil {
-		panic(err) // the default line-up is always registered
-	}
-	return s
-}
-
-// RunSummaryWith is RunSummary over an explicit policy list (nil means
-// ConstructiveNames): the same Figure 7–9 instance families drawn through
-// the scenario layer's canned specs, every listed policy on every
-// instance, BEST derived as the best feasible of the list (a literal
-// "BEST" entry is absorbed into the derived row, so any -policies list
-// the figure sweeps accept works here too). Gains are normalized against
-// XY when listed, else against the first policy.
-func RunSummaryWith(trialsPerPoint int, seed int64, policies []string) (Summary, error) {
+// Figure 7–9 spec and accumulates the §6.4 statistics over a policy list
+// (nil means ConstructiveNames): every listed policy on every instance,
+// BEST derived as the best feasible of the list (a literal "BEST" entry
+// is absorbed into the derived row, so any -policies list the figure
+// sweeps accept works here too). Gains are normalized against XY when
+// listed, else against the first policy.
+func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, error) {
 	if trialsPerPoint <= 0 {
 		trialsPerPoint = 10
 	}
@@ -133,16 +122,17 @@ func RunSummaryWith(trialsPerPoint int, seed int64, policies []string) (Summary,
 	}
 
 	type task struct {
-		w    Workload
+		w    scenario.Params
 		seed int64
 	}
 	var tasks []task
-	i := 0
-	for _, p := range figurePanels() {
-		for _, pt := range p.Points {
+	specs := Specs()
+	for _, id := range figureIDs {
+		sp := specs[id]
+		for _, x := range sp.XValues() {
+			w := sp.At(x)
 			for tr := 0; tr < trialsPerPoint; tr++ {
-				tasks = append(tasks, task{pt.W, seed*7_919 + int64(i)})
-				i++
+				tasks = append(tasks, task{w, seed*7_919 + int64(len(tasks))})
 			}
 		}
 	}
@@ -352,18 +342,16 @@ type NoCValidation struct {
 	MeanUtilization float64
 }
 
-// RunNoCValidation routes a random workload with PR and replays it in the
-// simulator. Seeds yielding PR-infeasible instances are skipped until a
-// feasible one is found (bounded attempts).
-func RunNoCValidation(seed int64, n int) (NoCValidation, error) {
-	return RunNoCValidationWith(seed, n, "PR")
-}
-
-// RunNoCValidationWith is RunNoCValidation under an explicit registered
-// routing policy. Solver and simulator state are pooled across the
-// attempt loop (route.Workspace, noc.Workspace), so skipped infeasible
-// seeds cost no fresh construction.
-func RunNoCValidationWith(seed int64, n int, policy string) (NoCValidation, error) {
+// RunNoCValidation routes a random workload with a registered policy
+// ("" means PR) and replays it in the simulator. Seeds yielding
+// infeasible instances are skipped until a feasible one is found
+// (bounded attempts); solver and simulator state are pooled across the
+// attempt loop (route.Workspace, noc.Workspace), so skipped seeds cost no
+// fresh construction.
+func RunNoCValidation(seed int64, n int, policy string) (NoCValidation, error) {
+	if policy == "" {
+		policy = "PR"
+	}
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	solver, err := solve.Lookup(policy)
@@ -372,8 +360,9 @@ func RunNoCValidationWith(seed int64, n int, policy string) (NoCValidation, erro
 	}
 	ws := route.NewWorkspace()
 	sims := noc.NewWorkspace()
+	gen := workload.New(m, 0)
 	for attempt := 0; attempt < 50; attempt++ {
-		set, err := drawSet(m, seed+int64(attempt)*101, Workload{N: n, WMin: 100, WMax: 1200})
+		set, err := scenario.DrawRandom(gen, seed+int64(attempt)*101, scenario.Params{N: n, WMin: 100, WMax: 1200}, nil)
 		if err != nil {
 			return NoCValidation{}, err
 		}

@@ -254,28 +254,6 @@ func TestSweepSinkErrorAbortsParallel(t *testing.T) {
 	}
 }
 
-// RunBaselineE surfaces setup errors as errors; RunBaseline keeps its
-// panicking contract for the benchmarks.
-func TestRunBaselineESurfacesErrors(t *testing.T) {
-	p := Panel{ID: "bad", Trials: 1,
-		Policies: []string{"nope"},
-		Points:   []Point{{X: 1, W: Workload{N: 4, WMin: 100, WMax: 200}}}}
-	if _, err := p.RunBaselineE(); err == nil {
-		t.Error("unknown policy not surfaced")
-	}
-	p.Policies = []string{"XY"}
-	p.Source = "tornado"
-	if _, err := p.RunBaselineE(); err == nil {
-		t.Error("unsupported source not surfaced")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RunBaseline did not panic on the error")
-		}
-	}()
-	p.RunBaseline()
-}
-
 // The firstError helper keeps the first report and only the first.
 func TestFirstError(t *testing.T) {
 	var f firstError
@@ -331,11 +309,11 @@ func TestAppendChunks(t *testing.T) {
 // per-task seeds are fixed), regardless of fleet interleaving.
 func TestSummarySchedulerDeterministic(t *testing.T) {
 	withStealHook(t, scrambleHook)
-	a, err := RunSummaryWith(1, 3, []string{"XY", "PR"})
+	a, err := RunSummary(1, 3, []string{"XY", "PR"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSummaryWith(1, 3, []string{"XY", "PR"})
+	b, err := RunSummary(1, 3, []string{"XY", "PR"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,27 +198,6 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-// The markdown sink emits a valid streaming table.
-func TestMarkdownSink(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Sweep(smokeSpec(), SweepOptions{}, NewMarkdownSink(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// caption, blank, header, separator, 4 rows
-	if len(lines) != 8 {
-		t.Fatalf("markdown output has %d lines, want 8:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[2], "| number of communications | XY | PR | BEST |") {
-		t.Errorf("header row %q", lines[2])
-	}
-	for _, row := range lines[4:] {
-		if strings.Count(row, "|") != 5 {
-			t.Errorf("malformed markdown row %q", row)
-		}
-	}
-}
-
 // Sweeps over non-uniform sources and non-default meshes run end to end
 // through the same pipeline, honoring any policy list.
 func TestSweepGenericSources(t *testing.T) {
@@ -268,10 +247,10 @@ func TestSweepBindFailsLoudly(t *testing.T) {
 	}
 }
 
-// RunSummaryWith honors a policy list and re-normalizes against the
+// RunSummary honors a policy list and re-normalizes against the
 // first policy when XY is absent.
 func TestSummaryWithPolicies(t *testing.T) {
-	s, err := RunSummaryWith(1, 1, []string{"SG", "PR"})
+	s, err := RunSummary(1, 1, []string{"SG", "PR"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,21 +265,21 @@ func TestSummaryWithPolicies(t *testing.T) {
 	}
 	// A literal BEST entry is absorbed into the derived row, so any list
 	// the figure sweeps accept works here uniformly.
-	s, err = RunSummaryWith(1, 1, []string{"XY", "PR", "BEST"})
+	s, err = RunSummary(1, 1, []string{"XY", "PR", "BEST"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Names, []string{"XY", "PR", "BEST"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("names with literal BEST: %v, want %v", got, want)
 	}
-	if _, err := RunSummaryWith(1, 1, []string{"nope"}); err == nil {
+	if _, err := RunSummary(1, 1, []string{"nope"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
-// RunPatternsWith honors a policy list.
+// RunPatterns honors a policy list.
 func TestPatternsWithPolicies(t *testing.T) {
-	rows, err := RunPatternsWith(500, []string{"TB", "PR"})
+	rows, err := RunPatterns(500, []string{"TB", "PR"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +294,41 @@ func TestPatternsWithPolicies(t *testing.T) {
 	}
 	// A bare BEST list falls back to deriving it over the paper's six
 	// constructive heuristics — the BEST solver's own semantics.
-	rows, err = RunPatternsWith(500, []string{"BEST"})
+	rows, err = RunPatterns(500, []string{"BEST"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rows[0].Names, HeuristicNames; !reflect.DeepEqual(got, want) {
 		t.Errorf("bare-BEST names %v, want %v", got, want)
+	}
+}
+
+// Check is the first step of every sweep: for each spec the engine
+// refuses before binding a source, Check returns the error Sweep returns,
+// and Sweep streams nothing.
+func TestCheckMatchesSweepErrors(t *testing.T) {
+	for name, edit := range map[string]func(sp *scenario.Spec){
+		"unknown policy":            func(sp *scenario.Spec) { sp.Policies = []string{"XY", "NOPE"} },
+		"bad mesh":                  func(sp *scenario.Spec) { sp.Mesh = "8by8" },
+		"mesh plus topology":        func(sp *scenario.Spec) { sp.Mesh, sp.Topology = "8x8", "torus:4x4" },
+		"mesh-spelled topology":     func(sp *scenario.Spec) { sp.Topology = "mesh:8x8" },
+		"mesh-only policy on torus": func(sp *scenario.Spec) { sp.Topology = "torus:4x4" },
+		"unknown source":            func(sp *scenario.Spec) { sp.Source = "nope" },
+	} {
+		sp := smokeSpec()
+		edit(&sp)
+		checkErr := Check(sp)
+		if checkErr == nil {
+			t.Errorf("%s: Check accepted the spec", name)
+			continue
+		}
+		rs := &recordSink{}
+		sweepErr := Sweep(sp, SweepOptions{}, rs)
+		if sweepErr == nil || sweepErr.Error() != checkErr.Error() {
+			t.Errorf("%s: Sweep error %v, Check error %v", name, sweepErr, checkErr)
+		}
+		if rs.meta.Policies != nil || len(rs.points) != 0 {
+			t.Errorf("%s: Sweep streamed despite the error", name)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/mesh"
 	"repro/internal/topo"
 
 	// Register the non-mesh topology families with topo.Parse, so any
@@ -102,19 +101,6 @@ func (s Spec) MeshDims() (p, q int, err error) {
 		return 8, 8, nil
 	}
 	return ParseMesh(s.Mesh)
-}
-
-// TopologyOf resolves the spec's platform: the Topology spec string
-// when set, else the mesh of MeshDims.
-func (s Spec) TopologyOf() (topo.Topology, error) {
-	if s.Topology == "" {
-		p, q, err := s.MeshDims()
-		if err != nil {
-			return nil, err
-		}
-		return mesh.MustNew(p, q), nil
-	}
-	return topo.Parse(s.Topology)
 }
 
 // SourceName returns the spec's source (default "uniform").

@@ -571,37 +571,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: %d trials/point exceeds the server's limit of %d", sp.Trials, s.cfg.MaxTrials))
 		return
 	}
-	// Expanding the spec catches what the spec's own Validate cannot (a
-	// bad mesh string reaching the panel layer) and the explicit lookups
-	// catch what expansion defers to run time (an unknown policy name) —
-	// both must fail here, before a cache entry exists for the hash.
-	if _, err := experiments.PanelOf(sp); err != nil {
+	// Resolve the spec the way the sweep itself will — policy names, the
+	// mesh-only policies a non-mesh platform rejects — so a spec the
+	// engine would refuse fails here, before a cache entry exists for its
+	// hash. Check binds no source — a bind allocates and seeds a
+	// math/rand generator per point, too costly for a cache hit — so
+	// params a source cannot bind on the spec's platform (a bit pattern
+	// on a 6x6 mesh) are admitted, run, and end the stream with a
+	// terminal error record.
+	if err := experiments.Check(sp); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	for _, name := range sp.Policies {
-		if _, err := solve.Lookup(name); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	// A non-mesh sweep must fail before a cache entry exists for its
-	// hash, so a mesh-only policy list never parks an error stream in
-	// the cache.
-	if sp.Topology != "" {
-		t, err := sp.TopologyOf()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		names := sp.Policies
-		if len(names) == 0 {
-			names = experiments.HeuristicNames
-		}
-		if err := solve.CheckTopology(names, t); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
 	}
 	hash := sp.Hash()
 	entry, state := s.cache.acquire(hash)
