@@ -44,15 +44,16 @@
 //
 // The discrete-event NoC simulator (internal/noc) — the dynamic
 // cross-check of the analytic evaluation — runs the same dense-workspace
-// discipline: a value-typed 4-ary event heap, a freelist packet arena and
-// precompiled flat path tables behind noc.Workspace/Simulator.Reset, so
-// multi-trial callers (the trace scenario source, the NoC validation
-// experiment) rebind one pooled simulator per trial and a warmed run
-// allocates only its Stats. Horizon accounting is exact — link
-// utilization is clamped to the window and Injected = Delivered +
-// Stalled + InFlight — and a differential suite pins the engine
-// byte-identical to the historical container/heap implementation it
-// replaced. Streaming delivery observers (Simulator.Observe,
+// discipline: a calendar event queue in exact (time, key) order whose
+// buckets link through one int32-indexed node arena, a freelist packet
+// arena and precompiled flat path tables behind
+// noc.Workspace/Simulator.Reset, so multi-trial callers (the trace
+// scenario source, the NoC validation experiment) rebind one pooled
+// simulator per trial and a warmed run allocates only its Stats. Horizon
+// accounting is exact — link utilization is clamped to the window and
+// Injected = Delivered + Stalled + InFlight — and a differential suite
+// and FuzzSimVsReference pin the engine byte-identical to the historical
+// container/heap implementation it replaced. Streaming delivery observers (Simulator.Observe,
 // noc.WorkloadObserver) export observed goodput without retaining trace
 // events; the NoCSimSF/NoCSimCT rows of BENCH_solvers.json put both
 // switching modes under cmd/benchguard's regression tripwire.

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/power"
 	"repro/internal/route"
@@ -192,8 +193,9 @@ func (ls *linkState) queuedPackets() int {
 
 // Simulator replays a routing as discrete packet traffic. It is rebindable:
 // Reset (or Workspace.Simulator) points it at a new routing while reusing
-// every internal buffer — event heap, packet arena, per-link queues and
-// the precompiled path tables. A Simulator is not safe for concurrent use.
+// every internal buffer — event calendar, packet arena, per-link queues
+// and the precompiled path tables. A Simulator is not safe for concurrent
+// use.
 type Simulator struct {
 	routing route.Routing
 	model   power.Model
@@ -221,6 +223,15 @@ type Simulator struct {
 	pathClass []uint8
 	// period is each flow's packet inter-injection time (µs).
 	period []float64
+
+	// Dense per-communication accounting: flow f delivers into
+	// comms[flowComm[f]], the slot of communication commIDs[slot].
+	// Deliveries accumulate in event order and fold into Stats.PerComm
+	// at finalize. commSlot is the Reset-time ID → slot scratch.
+	flowComm []int32
+	commIDs  []int
+	comms    []CommStats
+	commSlot map[int]int32
 
 	q     eventQueue
 	arena packetArena
@@ -318,7 +329,6 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 			}
 		}
 	}
-	s.q.reset()
 	s.arena.reset()
 
 	// Energy accumulators: grow to the platform and clear.
@@ -342,6 +352,7 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 
 	// DVFS operating point from the analytic loads.
 	s.loads = r.LoadsInto(s.loads)
+	used, maxFreq := 0, 0.0
 	for id, load := range s.loads {
 		if load == 0 {
 			continue
@@ -352,6 +363,7 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 		}
 		s.links[id].freq = f
 		s.linkSrc[id] = int32(tp.CoordIndex(tp.LinkByID(id).From))
+		used, maxFreq = used+1, max(maxFreq, f)
 	}
 
 	// Precompile each flow's path to flat link-id/class tables and its
@@ -365,6 +377,11 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 	}
 	s.flowOff, s.period = s.flowOff[:0], s.period[:0]
 	s.pathLink, s.pathClass = s.pathLink[:0], s.pathClass[:0]
+	s.flowComm, s.commIDs, s.comms = s.flowComm[:0], s.commIDs[:0], s.comms[:0]
+	if s.commSlot == nil {
+		s.commSlot = make(map[int]int32)
+	}
+	clear(s.commSlot)
 	off := int32(0)
 	for _, fl := range r.Flows {
 		s.flowOff = append(s.flowOff, off)
@@ -374,12 +391,41 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 			s.pathClass = append(s.pathClass, 0)
 			off++
 		}
+		slot, ok := s.commSlot[fl.Comm.ID]
+		if !ok {
+			slot = int32(len(s.commIDs))
+			s.commSlot[fl.Comm.ID] = slot
+			s.commIDs = append(s.commIDs, fl.Comm.ID)
+			s.comms = append(s.comms, CommStats{})
+		}
+		s.comms[slot].RequestedRate += fl.Comm.Rate
+		s.flowComm = append(s.flowComm, slot)
 	}
 	s.flowOff = append(s.flowOff, off)
+	s.q.reset(sizeCalendar(nf, used, cfg.PacketBits, maxFreq))
 
 	s.routing, s.model, s.cfg = r, model, cfg
 	s.bound = true
 	return nil
+}
+
+// sizeCalendar shapes the event calendar from quantities the binding
+// already has: a day is a quarter of the shortest packet transmission
+// time (the finest spacing of link events), and there are at least two
+// buckets per event the routing can keep pending — one injection per flow
+// plus a link release and an arrival per used link. A routing with no
+// used link gets inv 0: one day, a sorted list. The queue's order does
+// not depend on either choice (see eventQueue).
+func sizeCalendar(flows, usedLinks int, packetBits, maxFreq float64) (buckets int, inv float64) {
+	buckets = 1
+	for buckets < 2*(flows+2*usedLinks) {
+		buckets *= 2
+	}
+	inv = 4 * maxFreq / packetBits
+	if !(inv > 0) || math.IsInf(inv, 1) {
+		inv = 0
+	}
+	return buckets, inv
 }
 
 // hops returns flow f's path length.
@@ -394,7 +440,13 @@ func (s *Simulator) Run() *Stats {
 		panic("noc: Run needs a fresh New or Reset (one Run per binding)")
 	}
 	s.ran = true
-	st := newStats(s.routing, s.cfg)
+	space := len(s.links)
+	st := &Stats{
+		Horizon:         s.cfg.Horizon,
+		Warmup:          s.cfg.Warmup,
+		LinkUtilization: make([]float64, space),
+		LinkFreq:        make([]float64, space),
+	}
 
 	// Stagger flow start phases deterministically across one packet
 	// period so same-rate flows do not inject in lockstep.
@@ -408,7 +460,7 @@ func (s *Simulator) Run() *Stats {
 		if e.time > s.cfg.Horizon {
 			// A popped arrival past the horizon is a packet
 			// mid-transmission, not a silently vanished one.
-			if k := e.kind(); k == evArrive || k == evFreeArrive {
+			if e.kind().carriesPacket() {
 				st.InFlight++
 			}
 			break
@@ -457,11 +509,7 @@ func (s *Simulator) Run() *Stats {
 		}
 	}
 	// Everything still scheduled to arrive is in flight at the horizon.
-	for _, e := range s.q.items {
-		if k := e.kind(); k == evArrive || k == evFreeArrive {
-			st.InFlight++
-		}
-	}
+	st.InFlight += s.q.inFlight()
 	s.finalize(st)
 	return st
 }
@@ -482,7 +530,10 @@ func (s *Simulator) arrive(st *Stats, h int32, now float64) {
 		if s.observe != nil {
 			s.observe(Delivery{CommID: fl.Comm.ID, Injected: pkt.injected, Time: now, Bits: pkt.bits})
 		}
-		st.deliver(fl.Comm.ID, pkt.injected, pkt.bits, now)
+		st.Delivered++
+		if pkt.injected >= s.cfg.Warmup {
+			s.comms[s.flowComm[pkt.flow]].record(pkt.bits, now-pkt.injected)
+		}
 		s.arena.release(h)
 		return
 	}
@@ -541,20 +592,21 @@ func (s *Simulator) startNext(id int32, now float64) {
 		return
 	}
 	h := int32(-1)
-	var class int
+	var class, downClass int
+	var downstream int32
 	for c := 0; c < numClasses; c++ {
 		if ls.queues[c].len() == 0 {
 			continue
 		}
 		head := ls.queues[c].front()
-		down, downClass := s.nextHopTarget(head)
-		if !s.hasRoom(down, downClass) {
+		down, dc := s.nextHopTarget(head)
+		if !s.hasRoom(down, dc) {
 			// Blocked: retry when the downstream VC drains. Other
 			// classes may still proceed — that is what VCs buy.
-			s.links[down].waiters[downClass] = appendUnique(s.links[down].waiters[downClass], id)
+			s.links[down].waiters[dc] = appendUnique(s.links[down].waiters[dc], id)
 			continue
 		}
-		h, class = head, c
+		h, class, downstream, downClass = head, c, down, dc
 		break
 	}
 	if h < 0 {
@@ -562,7 +614,6 @@ func (s *Simulator) startNext(id int32, now float64) {
 	}
 	pkt := s.arena.at(h)
 	flow, hop, bits, prevDone := pkt.flow, pkt.hop, pkt.bits, pkt.prevDone
-	downstream, downClass := s.nextHopTarget(h)
 	ls.queues[class].popFront()
 	ls.busy = true // set before waking waiters: the wake chain may reach this link again
 	if s.cfg.BufferPackets > 0 {
@@ -657,6 +708,10 @@ func appendUnique[T comparable](xs []T, x T) []T {
 // power only while transmitting), so activity accounting costs nothing
 // per event.
 func (s *Simulator) finalize(st *Stats) {
+	st.PerComm = make(map[int]CommStats, len(s.commIDs))
+	for slot, id := range s.commIDs {
+		st.PerComm[id] = s.comms[slot]
+	}
 	cores, space := s.tp.NumCores(), len(s.links)
 	slab := make([]float64, cores+2*space)
 	e := &st.Energy

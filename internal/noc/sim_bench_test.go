@@ -67,11 +67,12 @@ func BenchmarkEngineVsReference(b *testing.B) {
 }
 
 // maxSimAllocsPerRun bounds a warmed pooled run's allocations: the Stats
-// output (struct, per-comm map, two per-link slices, map growth) is the
-// only fresh memory — the engine itself (events, packets, queues) reuses
-// workspace buffers. Measured ~10; 24 leaves headroom for runtime drift
-// without letting an engine-side allocation regression through.
-const maxSimAllocsPerRun = 24
+// output (struct, presized per-comm map, two per-link slices, energy
+// slab) is the only fresh memory — the engine itself (event calendar,
+// packets, queues) reuses workspace buffers. Measured 8; 12 leaves
+// headroom for runtime drift without letting an engine-side allocation
+// regression through.
+const maxSimAllocsPerRun = 12
 
 // BenchmarkNoCSimAllocs is the steady-state allocation guard of the
 // pooled engine, both switching modes.

@@ -3,8 +3,6 @@ package noc
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/route"
 )
 
 // CommStats aggregates per-communication delivery statistics.
@@ -19,6 +17,16 @@ type CommStats struct {
 	TotalLatency float64
 	// MaxLatency is the worst packet latency observed (µs).
 	MaxLatency float64
+}
+
+// record adds one post-warmup delivery of bits after latency lat (µs).
+func (c *CommStats) record(bits, lat float64) {
+	c.DeliveredBits += bits
+	c.Packets++
+	c.TotalLatency += lat
+	if lat > c.MaxLatency {
+		c.MaxLatency = lat
+	}
 }
 
 // AvgLatency returns the mean packet latency in µs (0 with no packets).
@@ -91,39 +99,6 @@ type Stats struct {
 	// or any stall with nothing delivered — indicates backpressure
 	// deadlock (finite buffers + cyclic channel dependencies).
 	Stalled int
-}
-
-func newStats(r route.Routing, cfg Config) *Stats {
-	space := r.Topology().LinkIDSpace()
-	st := &Stats{
-		Horizon:         cfg.Horizon,
-		Warmup:          cfg.Warmup,
-		PerComm:         make(map[int]CommStats),
-		LinkUtilization: make([]float64, space),
-		LinkFreq:        make([]float64, space),
-	}
-	for _, fl := range r.Flows {
-		cs := st.PerComm[fl.Comm.ID]
-		cs.RequestedRate += fl.Comm.Rate
-		st.PerComm[fl.Comm.ID] = cs
-	}
-	return st
-}
-
-func (st *Stats) deliver(commID int, injected, bits, now float64) {
-	st.Delivered++
-	if injected < st.Warmup {
-		return
-	}
-	cs := st.PerComm[commID]
-	cs.DeliveredBits += bits
-	cs.Packets++
-	lat := now - injected
-	cs.TotalLatency += lat
-	if lat > cs.MaxLatency {
-		cs.MaxLatency = lat
-	}
-	st.PerComm[commID] = cs
 }
 
 // DeliveredRate returns the post-warmup goodput of a communication in
