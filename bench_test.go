@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -38,35 +39,58 @@ func benchSpec(b *testing.B, id string, trials int) scenario.Spec {
 	return sp
 }
 
+// sweepPoints collects a sweep's points for the figure metrics.
+type sweepPoints struct {
+	policies []string
+	points   []experiments.PointResult
+}
+
+func (s *sweepPoints) Begin(meta experiments.SweepMeta) error {
+	s.policies = meta.Policies
+	return nil
+}
+
+func (s *sweepPoints) Point(p experiments.PointResult) error {
+	s.points = append(s.points, p)
+	return nil
+}
+
+func (s *sweepPoints) End() error { return nil }
+
+// mid returns the named policy's failure ratio and normalized inverse
+// power at the sweep's mid point (the most constrained point often
+// defeats every heuristic, making its metrics uniformly zero).
+func (s *sweepPoints) mid(policy string) (fail, norm float64) {
+	p, i := s.points[len(s.points)/2], slices.Index(s.policies, policy)
+	return p.FailureRatio[i], p.NormPowerInv[i]
+}
+
 // benchRun evaluates a spec, failing the benchmark on error.
-func benchRun(b *testing.B, sp scenario.Spec) experiments.Result {
+func benchRun(b *testing.B, sp scenario.Spec) *sweepPoints {
 	b.Helper()
-	res, err := experiments.Run(sp, experiments.SweepOptions{})
-	if err != nil {
+	res := &sweepPoints{}
+	if err := experiments.Sweep(sp, experiments.SweepOptions{}, res); err != nil {
 		b.Fatal(err)
 	}
 	return res
 }
 
 // reportGap publishes the failure-rate gap between XY and the Manhattan
-// heuristics at the sweep's mid point (the most constrained point
-// often defeats every heuristic, making its metrics uniformly zero), plus
-// PR's and XYI's normalized power there — the quantities the paper's
-// plots are read for.
-func reportGap(b *testing.B, res experiments.Result) {
+// heuristics at the sweep's mid point, plus PR's and XYI's normalized
+// power there — the quantities the paper's plots are read for.
+func reportGap(b *testing.B, res *sweepPoints) {
 	b.Helper()
-	mid := len(res.X) / 2
-	xy := res.SeriesByName("XY")
-	pr := res.SeriesByName("PR")
-	xyi := res.SeriesByName("XYI")
-	b.ReportMetric(xy.FailureRatio[mid]-pr.FailureRatio[mid], "failGapXY-PR")
-	b.ReportMetric(pr.NormPowerInv[mid], "prNormPower")
-	b.ReportMetric(xyi.NormPowerInv[mid], "xyiNormPower")
+	xyFail, _ := res.mid("XY")
+	prFail, prNorm := res.mid("PR")
+	_, xyiNorm := res.mid("XYI")
+	b.ReportMetric(xyFail-prFail, "failGapXY-PR")
+	b.ReportMetric(prNorm, "prNormPower")
+	b.ReportMetric(xyiNorm, "xyiNormPower")
 }
 
 func benchFigure(b *testing.B, id string) {
 	b.Helper()
-	var res experiments.Result
+	var res *sweepPoints
 	for i := 0; i < b.N; i++ {
 		sp := benchSpec(b, id, 4)
 		sp.Seed += int64(i) // fresh instances each iteration
@@ -340,15 +364,15 @@ func BenchmarkAblationPRShares(b *testing.B) {
 func BenchmarkAblationDiscreteFreq(b *testing.B) {
 	for _, tc := range []struct{ name, power string }{{"discrete", ""}, {"continuous", "continuous"}} {
 		b.Run(tc.name, func(b *testing.B) {
-			var res experiments.Result
+			var res *sweepPoints
 			for i := 0; i < b.N; i++ {
 				sp := benchSpec(b, "fig7a", 3)
 				sp.Power = tc.power
 				sp.Seed += int64(i)
 				res = benchRun(b, sp)
 			}
-			pr := res.SeriesByName("PR")
-			b.ReportMetric(pr.FailureRatio[len(res.X)/2], "prFailRatio")
+			prFail, _ := res.mid("PR")
+			b.ReportMetric(prFail, "prFailRatio")
 		})
 	}
 }
@@ -386,7 +410,7 @@ func BenchmarkOptimalityGap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sol, err := optflow.Solve(m, model, set, optflow.Options{MaxIters: 150})
+		sol, err := optflow.SolveWith(m, model, set, optflow.Options{MaxIters: 150}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,9 +38,9 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
+	"repro/internal/solve"
 	"repro/internal/tables"
 )
 
@@ -52,7 +52,7 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory for streamed CSV output (optional)")
 		jsonl   = flag.String("jsonl", "", "file for streamed JSON-lines output (optional, sweeps only)")
 		md      = flag.Bool("md", false, "render tables as markdown instead of aligned text")
-		pols    = flag.String("policies", "", "comma-separated policy list, applied uniformly to every experiment that evaluates policies (registered: "+strings.Join(core.Policies(), ", ")+")")
+		pols    = flag.String("policies", "", "comma-separated policy list, applied uniformly to every experiment that evaluates policies (registered: "+strings.Join(solve.Policies(), ", ")+")")
 		spec    = flag.String("spec", "", "JSON sweep spec file to run (see examples/specs/)")
 		source  = flag.String("source", "", "build a sweep from flags: scenario source name (registered: "+strings.Join(scenario.Sources(), ", ")+")")
 		meshGe  = flag.String("mesh", "", "mesh geometry PxQ for -source sweeps (default 8x8)")

@@ -11,15 +11,22 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/deadlock"
+	"repro/internal/exact"
+	"repro/internal/experiments"
 	"repro/internal/mesh"
+	"repro/internal/power"
+	"repro/internal/route"
 	"repro/internal/rtable"
+	"repro/internal/solve"
+	"repro/internal/tables"
 	"repro/internal/workload"
 )
 
@@ -42,7 +49,7 @@ func main() {
 		wmax    = flag.Float64("wmax", 1500, "maximum weight (Mb/s)")
 		length  = flag.Int("length", 0, "exact Manhattan length (0 = random pairs)")
 		seed    = flag.Int64("seed", 1, "workload seed")
-		policy  = flag.String("policy", "BEST", "routing policy ("+strings.Join(core.Policies(), ", ")+") or 'all'")
+		policy  = flag.String("policy", "BEST", "routing policy ("+strings.Join(solve.Policies(), ", ")+") or 'all'")
 		cont    = flag.Bool("continuous", false, "use continuous frequency scaling")
 		paths   = flag.Bool("paths", false, "print the routed paths")
 		heat    = flag.Bool("heatmap", false, "print an ASCII link-load heatmap")
@@ -106,61 +113,60 @@ func run(p, q, n int, wmin, wmax float64, length int, seed int64, policy string,
 			return err
 		}
 	}
-	model := core.KimHorowitzModel()
+	model := power.KimHorowitz()
 	if cont {
-		model = core.ContinuousModel()
+		model = power.KimHorowitzContinuous()
 	}
-	inst, err := core.NewInstance(p, q, model, set)
-	if err != nil {
+	in := solve.Instance{Mesh: m, Model: model, Comms: set}
+	if err := in.Validate(); err != nil {
 		return err
 	}
 
 	if strings.EqualFold(policy, "all") {
-		sols, err := inst.SolveAll()
-		if err != nil {
-			return err
+		// Every constructive heuristic plus BEST, in name order.
+		names := slices.Sorted(slices.Values(experiments.HeuristicNames))
+		results := make([]route.Result, len(names))
+		for i, name := range names {
+			if _, results[i], err = routeWith(in, name); err != nil {
+				return err
+			}
 		}
-		names := make([]string, 0, len(sols))
-		for name := range sols {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Print(sols[name].Report())
+		for i, name := range names {
+			printReport(os.Stdout, in, name, results[i])
 		}
 		return nil
 	}
 
-	sol, err := inst.Solve(policy)
+	r, res, err := routeWith(in, policy)
 	if err != nil {
 		return err
 	}
-	fmt.Print(sol.Report())
+	printReport(os.Stdout, in, strings.ToUpper(policy), res) // canonical names are upper case
 	if heat {
-		fmt.Print(sol.Heatmap())
+		fmt.Print(tables.Heatmap(m, res.Loads, model.MaxBW))
 	}
 	if dl {
-		g := deadlock.BuildCDG(sol.Routing)
+		g := deadlock.BuildCDG(r)
 		if cyc := g.FindCycle(); cyc != nil {
 			fmt.Printf("channel dependency graph: CYCLIC — wormhole deadlock possible without avoidance\n  cycle: %s\n",
 				g.DescribeCycle(cyc))
 		} else {
 			fmt.Println("channel dependency graph: acyclic — deadlock-free as-is")
 		}
-		assign := deadlock.EscapeChannels(sol.Routing)
-		if err := assign.Validate(sol.Routing); err != nil {
+		assign := deadlock.EscapeChannels(r)
+		if err := assign.Validate(r); err != nil {
 			return fmt.Errorf("escape-channel assignment failed: %w", err)
 		}
-		if eg := deadlock.EscapeCDG(sol.Routing, assign); eg.Acyclic() {
+		if eg := deadlock.EscapeCDG(r, assign); eg.Acyclic() {
 			fmt.Println("escape-channel assignment: valid, escape sub-network acyclic (Duato) — certified deadlock-free with 2 VCs")
 		}
 	}
 	if tablesF != "" {
-		tbl, err := rtable.Build(sol.Routing)
+		tbl, err := rtable.Build(r)
 		if err != nil {
 			return err
 		}
-		if err := tbl.Verify(sol.Routing); err != nil {
+		if err := tbl.Verify(r); err != nil {
 			return err
 		}
 		f, err := os.Create(tablesF)
@@ -176,7 +182,10 @@ func run(p, q, n int, wmin, wmax float64, length int, seed int64, policy string,
 			st.Routers, st.Entries, st.MaxEntries, tablesF)
 	}
 	if printPaths {
-		byComm := sol.PathsByComm()
+		byComm := make(map[int][]route.Path)
+		for _, f := range r.Flows {
+			byComm[f.Comm.ID] = append(byComm[f.Comm.ID], f.Path)
+		}
 		ids := make([]int, 0, len(byComm))
 		for id := range byComm {
 			ids = append(ids, id)
@@ -196,4 +205,30 @@ func run(p, q, n int, wmin, wmax float64, length int, seed int64, policy string,
 		}
 	}
 	return nil
+}
+
+// routeWith routes the instance with the named policy under default
+// options and evaluates the routing.
+func routeWith(in solve.Instance, policy string) (route.Routing, route.Result, error) {
+	r, err := solve.Route(policy, in, solve.Options{})
+	if err != nil {
+		return route.Routing{}, route.Result{}, err
+	}
+	return r, route.Evaluate(r, in.Model), nil
+}
+
+// printReport writes a routed instance's power summary, or why it is
+// infeasible.
+func printReport(w io.Writer, in solve.Instance, policy string, res route.Result) {
+	fmt.Fprintf(w, "policy %s on %v, %d communications\n", policy, in.Mesh, len(in.Comms))
+	if !res.Feasible {
+		fmt.Fprintf(w, "  INFEASIBLE: %v (max load %.1f, top bandwidth %.1f)\n",
+			res.Err, res.MaxLoad(), in.Model.MaxBW)
+		return
+	}
+	fmt.Fprintf(w, "  power: %.3f mW (static %.3f + dynamic %.3f), %d active links\n",
+		res.Power.Total(), res.Power.Static, res.Power.Dynamic, res.Power.ActiveLinks)
+	fmt.Fprintf(w, "  max link load: %.1f / %.1f Mb/s\n", res.MaxLoad(), in.Model.MaxBW)
+	fmt.Fprintf(w, "  ideal-share lower bound: %.3f mW (dynamic only)\n",
+		exact.IdealShareLowerBound(in.Mesh, in.Model, in.Comms))
 }

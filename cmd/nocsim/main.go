@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/noc"
 	"repro/internal/power"
@@ -26,7 +25,8 @@ import (
 	"repro/internal/topo"
 	"repro/internal/workload"
 
-	// Register the non-mesh topology families for -topology.
+	// Register every routing policy and the non-mesh topology families.
+	_ "repro/internal/experiments"
 	_ "repro/internal/topo/circulant"
 	_ "repro/internal/topo/torus"
 )
@@ -40,7 +40,7 @@ func main() {
 		wmin     = flag.Float64("wmin", 100, "minimum weight (Mb/s)")
 		wmax     = flag.Float64("wmax", 1200, "maximum weight (Mb/s)")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		policy   = flag.String("policy", "PR", "routing policy ("+strings.Join(core.Policies(), ", ")+")")
+		policy   = flag.String("policy", "PR", "routing policy ("+strings.Join(solve.Policies(), ", ")+")")
 		horizon  = flag.Float64("horizon", 3000, "simulated µs")
 		warmup   = flag.Float64("warmup", 500, "warmup µs excluded from stats")
 		packet   = flag.Float64("packet", 2048, "packet size in bits")
@@ -67,7 +67,7 @@ func main() {
 // solveOn routes the workload on the selected platform and returns the
 // routing with its analytic evaluation.
 func solveOn(p, q int, topology string, n int, wmin, wmax float64, seed int64, policy string) (route.Routing, route.Result, power.Model, error) {
-	model := core.KimHorowitzModel()
+	model := power.KimHorowitz()
 	var in solve.Instance
 	if topology != "" {
 		tp, err := topo.Parse(topology)

@@ -7,8 +7,11 @@
 // (bench_test.go and bench_solvers_test.go), with one benchmark per table
 // and figure of the paper's evaluation plus per-policy solver benchmarks
 // and allocation guards; the library lives under internal/ with
-// internal/core as the public facade and internal/solve as the policy
-// registry every routing family registers into.
+// internal/solve as its entry point: solve.Instance describes a routing
+// problem and solve.Route routes it with any policy of the registry every
+// routing family registers into (importing internal/experiments registers
+// them all). A root test keeps exported functions honest: each must have
+// a caller outside tests, or be a test oracle listed with its reason.
 //
 // Solvers run against dense reusable workspaces (route.Workspace): pooled
 // per-comm path slots, load trackers and dense per-link buffers replace the

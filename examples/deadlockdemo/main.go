@@ -13,11 +13,13 @@ import (
 	"log"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/deadlock"
+	_ "repro/internal/experiments" // registers every routing policy
 	"repro/internal/mesh"
 	"repro/internal/noc"
+	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -29,17 +31,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inst, err := core.NewInstance(8, 8, core.KimHorowitzModel(), set)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	pr, err := solve.Route("PR", in, solve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := inst.Solve("PR")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("PR on shuffle traffic: feasible=%v, power %.0f mW\n", sol.Feasible(), sol.PowerMW())
+	res := route.Evaluate(pr, in.Model)
+	fmt.Printf("PR on shuffle traffic: feasible=%v, power %.0f mW\n", res.Feasible, res.Power.Total())
 
-	g := deadlock.BuildCDG(sol.Routing)
+	g := deadlock.BuildCDG(pr)
 	if cyc := g.FindCycle(); cyc != nil {
 		fmt.Println("channel dependency cycle found:")
 		fmt.Println(" ", g.DescribeCycle(cyc))
@@ -49,11 +49,11 @@ func main() {
 
 	// 2. Certify it anyway: two virtual channels with an XY-restricted
 	// escape class make any minimal routing deadlock-free.
-	assign := deadlock.EscapeChannels(sol.Routing)
-	if err := assign.Validate(sol.Routing); err != nil {
+	assign := deadlock.EscapeChannels(pr)
+	if err := assign.Validate(pr); err != nil {
 		log.Fatal(err)
 	}
-	if eg := deadlock.EscapeCDG(sol.Routing, assign); eg.Acyclic() {
+	if eg := deadlock.EscapeCDG(pr, assign); eg.Acyclic() {
 		fmt.Println("escape-channel assignment valid; escape sub-network acyclic:")
 		fmt.Println("  certified deadlock-free with 2 virtual channels (Duato)")
 	}
@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("\nhand-built ring (4 flows × 3 hops, 3.45 Gb/s per link), CDG cyclic: %v\n",
 		!deadlock.BuildCDG(ring).Acyclic())
 	run := func(buffers int, withVCs bool) {
-		sim, err := noc.New(ring, core.KimHorowitzModel(), noc.Config{
+		sim, err := noc.New(ring, power.KimHorowitz(), noc.Config{
 			Horizon: 3000, Warmup: 0, BufferPackets: buffers,
 		})
 		if err != nil {

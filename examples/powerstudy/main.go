@@ -13,9 +13,11 @@ import (
 	"log"
 
 	"repro/internal/comm"
-	"repro/internal/core"
+	_ "repro/internal/experiments" // registers every routing policy
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -27,7 +29,7 @@ func main() {
 	fmt.Println("Pleak(mW)   XY power    PR power    TB power    winner      active links (PR)")
 	for _, pleak := range []float64{0, 5, 17, 50, 150, 500} {
 		model := power.Model{Pleak: pleak, P0: 5.41, Alpha: 2.95, MaxBW: 3500, FreqUnit: 1000}
-		reportRow(set, model, fmt.Sprintf("%9.0f", pleak))
+		reportRow(m, set, model, fmt.Sprintf("%9.0f", pleak))
 	}
 
 	fmt.Println()
@@ -35,7 +37,7 @@ func main() {
 	fmt.Println("alpha       XY power    PR power    TB power    winner      active links (PR)")
 	for _, alpha := range []float64{2.1, 2.5, 2.95, 3.0} {
 		model := power.Model{Pleak: 16.9, P0: 5.41, Alpha: alpha, MaxBW: 3500, FreqUnit: 1000}
-		reportRow(set, model, fmt.Sprintf("%9.2f", alpha))
+		reportRow(m, set, model, fmt.Sprintf("%9.2f", alpha))
 	}
 
 	fmt.Println()
@@ -44,30 +46,33 @@ func main() {
 		name  string
 		model power.Model
 	}{
-		{"discrete  ", core.KimHorowitzModel()},
-		{"continuous", core.ContinuousModel()},
+		{"discrete  ", power.KimHorowitz()},
+		{"continuous", power.KimHorowitzContinuous()},
 	} {
-		inst, err := core.NewInstance(8, 8, tc.model, set)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sol, err := inst.Solve("BEST")
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := evaluate(m, set, tc.model, "BEST")
 		fmt.Printf("  %s BEST: %8.1f mW (static %6.1f, dynamic %7.1f)\n",
-			tc.name, sol.PowerMW(), sol.Result.Power.Static, sol.Result.Power.Dynamic)
+			tc.name, res.Power.Total(), res.Power.Static, res.Power.Dynamic)
 	}
 	fmt.Println("\nThe discrete model pays for frequency headroom: every load is")
 	fmt.Println("rounded up to the next available link rate, so discrete BEST")
 	fmt.Println("dissipates more than the continuous ideal on the same routing.")
 }
 
-func reportRow(set comm.Set, model power.Model, label string) {
-	inst, err := core.NewInstance(8, 8, model, set)
+// evaluate routes the set on m with the named policy and evaluates the
+// routing under model.
+func evaluate(m *mesh.Mesh, set comm.Set, model power.Model, policy string) route.Result {
+	in := solve.Instance{Mesh: m, Model: model, Comms: set}
+	if err := in.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := solve.Route(policy, in, solve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	return route.Evaluate(r, model)
+}
+
+func reportRow(m *mesh.Mesh, set comm.Set, model power.Model, label string) {
 	type res struct {
 		ok    bool
 		power float64
@@ -75,11 +80,8 @@ func reportRow(set comm.Set, model power.Model, label string) {
 	}
 	results := make(map[string]res)
 	for _, policy := range []string{"XY", "PR", "TB"} {
-		sol, err := inst.Solve(policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[policy] = res{sol.Feasible(), sol.PowerMW(), sol.Result.Power.ActiveLinks}
+		r := evaluate(m, set, model, policy)
+		results[policy] = res{r.Feasible, r.Power.Total(), r.Power.ActiveLinks}
 	}
 	winner, bestPower := "-", 0.0
 	for _, policy := range []string{"XY", "PR", "TB"} {

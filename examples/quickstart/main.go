@@ -10,8 +10,11 @@ import (
 	"strings"
 
 	"repro/internal/comm"
-	"repro/internal/core"
+	_ "repro/internal/experiments" // registers every routing policy
 	"repro/internal/mesh"
+	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 func main() {
@@ -23,37 +26,39 @@ func main() {
 		{ID: 3, Src: mesh.Coord{U: 2, V: 7}, Dst: mesh.Coord{U: 7, V: 2}, Rate: 1500},
 		{ID: 4, Src: mesh.Coord{U: 8, V: 1}, Dst: mesh.Coord{U: 3, V: 4}, Rate: 900},
 	}
-
-	inst, err := core.NewInstance(8, 8, core.KimHorowitzModel(), comms)
-	if err != nil {
+	in := solve.Instance{Mesh: mesh.MustNew(8, 8), Model: power.KimHorowitz(), Comms: comms}
+	if err := in.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
-	// Every policy family is one registry name away (see core.Policies()
-	// for the full list). XY stacks both heavy flows on one corridor and
-	// fails; Manhattan routing spreads them; the multi-path rules split
-	// the heavy flows and push power lower still.
-	fmt.Println("registered policies:", strings.Join(core.Policies(), ", "))
+	// Every policy family is one registry name away. XY stacks both heavy
+	// flows on one corridor and fails; Manhattan routing spreads them;
+	// the multi-path rules split the heavy flows.
+	fmt.Println("registered policies:", strings.Join(solve.Policies(), ", "))
+	fmt.Println("policy   power (mW)   active links   max link load (Mb/s)")
 	for _, policy := range []string{"XY", "XYI", "PR", "BEST", "2MP", "MAXMP"} {
-		sol, err := inst.Solve(policy)
+		r, err := solve.Route(policy, in, solve.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(sol.Report())
+		res := route.Evaluate(r, in.Model)
+		if !res.Feasible {
+			fmt.Printf("%-6s   infeasible   -              %.0f\n", policy, res.MaxLoad())
+			continue
+		}
+		fmt.Printf("%-6s   %10.1f   %12d   %.0f\n", policy, res.Power.Total(), res.Power.ActiveLinks, res.MaxLoad())
 	}
 
 	// Inspect the winning paths.
-	sol, err := inst.Solve("BEST")
+	r, err := solve.Route("BEST", in, solve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("routed paths (one per communication, single-path rule):")
-	for id := 1; id <= 4; id++ {
-		for _, p := range sol.PathsByComm()[id] {
-			src, _ := p.Src()
-			dst, _ := p.Dst()
-			fmt.Printf("  γ%d: %v -> %v in %d hops, %d bend(s)\n",
-				id, src, dst, len(p), p.Bends())
-		}
+	for _, f := range r.Flows {
+		src, _ := f.Path.Src()
+		dst, _ := f.Path.Dst()
+		fmt.Printf("  γ%d: %v -> %v in %d hops, %d bend(s)\n",
+			f.Comm.ID, src, dst, len(f.Path), f.Path.Bends())
 	}
 }

@@ -11,11 +11,15 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/mesh"
+	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -55,32 +59,18 @@ func main() {
 	fmt.Printf("composite workload: %d communications, %.1f Gb/s aggregate demand\n\n",
 		len(set), set.TotalRate()/1000)
 
-	inst, err := core.NewInstance(8, 8, core.KimHorowitzModel(), set)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sols, err := inst.SolveAll()
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	type row struct {
 		name  string
 		ok    bool
 		power float64
 	}
-	rows := make([]row, 0, len(sols))
-	for name, sol := range sols {
-		rows = append(rows, row{name, sol.Feasible(), sol.PowerMW()})
-	}
-	// Beyond the heuristics, any registered policy is one Solve away:
-	// compare the multi-path and annealing extensions on the same workload.
-	for _, name := range []string{"SA", "2MP", "4MP", "MAXMP"} {
-		sol, err := inst.Solve(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows = append(rows, row{name, sol.Feasible(), sol.PowerMW()})
+	var rows []row
+	// The paper's heuristics and BEST, and beyond them any registered
+	// policy is one name away: compare the annealing and multi-path
+	// extensions on the same workload.
+	for _, name := range slices.Concat(experiments.HeuristicNames, []string{"SA", "2MP", "4MP", "MAXMP"}) {
+		res := evaluate(m, set, name)
+		rows = append(rows, row{name, res.Feasible, res.Power.Total()})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].ok != rows[j].ok {
@@ -103,23 +93,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	demoXYPathology(transposeOnly)
+	demoXYPathology(m, transposeOnly)
 }
 
-func demoXYPathology(set comm.Set) {
-	inst, err := core.NewInstance(8, 8, core.KimHorowitzModel(), set)
+// evaluate routes the set on m with the named policy under the paper's
+// power model and evaluates the routing.
+func evaluate(m *mesh.Mesh, set comm.Set, policy string) route.Result {
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	r, err := solve.Route(policy, in, solve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	xy, err := inst.Solve("XY")
-	if err != nil {
-		log.Fatal(err)
-	}
-	best, err := inst.Solve("BEST")
-	if err != nil {
-		log.Fatal(err)
-	}
+	return route.Evaluate(r, in.Model)
+}
+
+func demoXYPathology(m *mesh.Mesh, set comm.Set) {
+	xy, best := evaluate(m, set, "XY"), evaluate(m, set, "BEST")
 	fmt.Printf("\n6×6 corner-turn at 1.7 Gb/s: XY max link load %.0f Mb/s (feasible=%v), "+
 		"BEST max load %.0f Mb/s (feasible=%v)\n",
-		xy.Result.MaxLoad(), xy.Feasible(), best.Result.MaxLoad(), best.Feasible())
+		xy.MaxLoad(), xy.Feasible, best.MaxLoad(), best.Feasible)
 }

@@ -10,15 +10,17 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/exact"
+	"repro/internal/experiments"
 	"repro/internal/heur"
 	"repro/internal/mesh"
 	"repro/internal/noc"
 	"repro/internal/optflow"
 	"repro/internal/power"
+	"repro/internal/route"
 	"repro/internal/rtable"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -40,50 +42,62 @@ func TestFullStackPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inst, err := core.NewInstance(8, 8, core.KimHorowitzModel(), set)
-	if err != nil {
-		t.Fatal(err)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	results := make(map[string]route.Result)
+	var best route.Routing
+	for _, name := range experiments.HeuristicNames {
+		r, err := solve.Route(name, in, solve.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		results[name] = route.Evaluate(r, in.Model)
+		if name == "BEST" {
+			best = r
+		}
 	}
-	sols, err := inst.SolveAll()
-	if err != nil {
-		t.Fatal(err)
+	bestRes := results["BEST"]
+	if !bestRes.Feasible {
+		t.Fatalf("BEST infeasible on the application mix: %v", bestRes.Err)
 	}
-	best := sols["BEST"]
-	if !best.Feasible() {
-		t.Fatalf("BEST infeasible on the application mix: %v", best.Result.Err)
-	}
-	// 1. Structural validity under the 1-MP rule.
-	if err := best.Routing.Validate(set, 1); err != nil {
+	bestPower := bestRes.Power.Total()
+	// 1. Structural validity under the 1-MP rule; BEST is the cheapest
+	// feasible heuristic.
+	if err := best.Validate(set, 1); err != nil {
 		t.Fatalf("routing validation: %v", err)
 	}
+	for name, res := range results {
+		if res.Feasible && bestPower > res.Power.Total()+1e-9 {
+			t.Errorf("BEST %g worse than %s %g", bestPower, name, res.Power.Total())
+		}
+	}
 	// 2. Power ≥ ideal-share lower bound.
-	if lb := inst.LowerBound(); best.PowerMW() < lb-1e-6 {
-		t.Fatalf("power %g below lower bound %g", best.PowerMW(), lb)
+	if lb := exact.IdealShareLowerBound(m, in.Model, set); bestPower < lb-1e-6 {
+		t.Fatalf("power %g below lower bound %g", bestPower, lb)
 	}
 	// 3. Forwarding tables compile and verify.
-	tbl, err := rtable.Build(best.Routing)
+	tbl, err := rtable.Build(best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Verify(best.Routing); err != nil {
+	if err := tbl.Verify(best); err != nil {
 		t.Fatal(err)
 	}
 	// 4. Escape-channel assignment certifies deadlock freedom.
-	assign := deadlock.EscapeChannels(best.Routing)
-	if err := assign.Validate(best.Routing); err != nil {
+	assign := deadlock.EscapeChannels(best)
+	if err := assign.Validate(best); err != nil {
 		t.Fatal(err)
 	}
-	if eg := deadlock.EscapeCDG(best.Routing, assign); !eg.Acyclic() {
+	if eg := deadlock.EscapeCDG(best, assign); !eg.Acyclic() {
 		t.Fatal("escape CDG cyclic")
 	}
 	// 5. The simulator delivers the workload at the analytic power.
-	sim, err := noc.New(best.Routing, inst.Model, noc.Config{Horizon: 2500, Warmup: 400})
+	sim, err := noc.New(best, in.Model, noc.Config{Horizon: 2500, Warmup: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := sim.Run()
-	if math.Abs(st.PowerMW-best.PowerMW()) > 1e-6 {
-		t.Fatalf("simulated power %g != analytic %g", st.PowerMW, best.PowerMW())
+	if math.Abs(st.PowerMW-bestPower) > 1e-6 {
+		t.Fatalf("simulated power %g != analytic %g", st.PowerMW, bestPower)
 	}
 	for _, c := range set {
 		if rel := math.Abs(st.DeliveredRate(c.ID)-c.Rate) / c.Rate; rel > 0.1 {
@@ -99,7 +113,6 @@ func TestPolicyPowerOrdering(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	model := power.KimHorowitzContinuous()
 	set := workload.New(m, 13).Uniform(6, 200, 1800)
-	inst := &core.Instance{Mesh: m, Model: model, Comms: set}
 
 	opt, ok, err := exact.Solve(m, model, set)
 	if err != nil || !ok {
@@ -110,7 +123,7 @@ func TestPolicyPowerOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flow, err := optflow.Solve(m, model, set, optflow.Options{})
+	flow, err := optflow.SolveWith(m, model, set, optflow.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +133,16 @@ func TestPolicyPowerOrdering(t *testing.T) {
 		t.Errorf("maxMP optimum %g above 1-MP dynamic %g", flow.Power, optRes.Dynamic)
 	}
 
-	best, err := inst.Solve("BEST")
+	r, err := solve.Route("BEST", solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Feasible() && best.PowerMW() < optRes.Total()-1e-6 {
-		t.Errorf("BEST %g beats the exact optimum %g", best.PowerMW(), optRes.Total())
+	if best := route.Evaluate(r, model); best.Feasible && best.Power.Total() < optRes.Total()-1e-6 {
+		t.Errorf("BEST %g beats the exact optimum %g", best.Power.Total(), optRes.Total())
 	}
 }
 
-// JSON round trip through the facade: a workload saved and reloaded
+// JSON round trip: a workload saved and reloaded
 // produces identical routings.
 func TestWorkloadRoundTripStability(t *testing.T) {
 	m := mesh.MustNew(8, 8)

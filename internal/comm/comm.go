@@ -227,21 +227,10 @@ func (c Comm) Split(rates []float64) ([]Comm, error) {
 	return out, nil
 }
 
-// SplitEqual divides the communication into s equal parts.
-func (c Comm) SplitEqual(s int) ([]Comm, error) {
-	out, err := c.AppendSplitEqual(nil, s)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AppendSplitEqual appends the s equal fragments of the communication to
-// dst and returns the extended slice — the allocation-free form of
-// SplitEqual for pooled callers (the s-MP solvers fragment every
-// communication of every trial, so the intermediate rate and part slices
-// dominated their allocation profile). The fragments are identical to
-// SplitEqual's: same ID and endpoints, Rate/s each.
+// dst and returns the extended slice: same ID and endpoints, Rate/s
+// each. Appending lets the s-MP solvers, which fragment every
+// communication of every trial, reuse one pooled buffer.
 func (c Comm) AppendSplitEqual(dst []Comm, s int) ([]Comm, error) {
 	if s < 1 {
 		return dst, fmt.Errorf("comm %d: split count %d < 1", c.ID, s)

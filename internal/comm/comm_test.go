@@ -120,7 +120,7 @@ func TestSplitEqualConservesRate(t *testing.T) {
 		r := float64(rate%5000) + 1
 		n := int(s%8) + 1
 		c := Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 4}, Rate: r}
-		parts, err := c.SplitEqual(n)
+		parts, err := c.AppendSplitEqual(nil, n)
 		if err != nil || len(parts) != n {
 			return false
 		}
@@ -138,9 +138,9 @@ func TestSplitEqualConservesRate(t *testing.T) {
 func TestAppendSplitEqualMatchesSplitEqual(t *testing.T) {
 	c := Comm{ID: 7, Src: mesh.Coord{U: 1, V: 2}, Dst: mesh.Coord{U: 5, V: 3}, Rate: 1001}
 	for s := 1; s <= 6; s++ {
-		want, err := c.SplitEqual(s)
-		if err != nil {
-			t.Fatal(err)
+		want := make([]Comm, s)
+		for i := range want {
+			want[i] = Comm{ID: c.ID, Src: c.Src, Dst: c.Dst, Rate: c.Rate / float64(s)}
 		}
 		// Appends after existing content, reusing the backing array.
 		dst := make([]Comm, 1, 1+s)
@@ -172,8 +172,8 @@ func TestAppendSplitEqualMatchesSplitEqual(t *testing.T) {
 
 func TestSplitEqualRejectsZero(t *testing.T) {
 	c := Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 4}
-	if _, err := c.SplitEqual(0); err == nil {
-		t.Error("SplitEqual(0) accepted")
+	if _, err := c.AppendSplitEqual(nil, 0); err == nil {
+		t.Error("AppendSplitEqual(0) accepted")
 	}
 }
 

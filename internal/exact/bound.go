@@ -51,30 +51,3 @@ func IdealShareLowerBound(m *mesh.Mesh, model power.Model, set comm.Set) float64
 	}
 	return total
 }
-
-// MinActiveLinks returns a lower bound on the number of active links of
-// any routing: each core that originates traffic needs at least one
-// outgoing active link, each sink one incoming, and globally at least
-// max over communications of their length links must be active. The bound
-// multiplied by Pleak complements IdealShareLowerBound for models with
-// static power.
-func MinActiveLinks(set comm.Set) int {
-	srcs := make(map[mesh.Coord]bool)
-	dsts := make(map[mesh.Coord]bool)
-	longest := 0
-	for _, c := range set {
-		srcs[c.Src] = true
-		dsts[c.Dst] = true
-		if l := c.Length(); l > longest {
-			longest = l
-		}
-	}
-	n := len(srcs)
-	if len(dsts) > n {
-		n = len(dsts)
-	}
-	if longest > n {
-		n = longest
-	}
-	return n
-}

@@ -144,19 +144,6 @@ func TestIdealShareLowerBoundBasics(t *testing.T) {
 	}
 }
 
-func TestMinActiveLinks(t *testing.T) {
-	set := comm.Set{
-		{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 8}, Rate: 1}, // length 7
-		{ID: 1, Src: mesh.Coord{U: 2, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1},
-	}
-	if got := MinActiveLinks(set); got != 7 {
-		t.Errorf("MinActiveLinks = %d, want 7 (longest comm)", got)
-	}
-	if got := MinActiveLinks(nil); got != 0 {
-		t.Errorf("MinActiveLinks(nil) = %d", got)
-	}
-}
-
 func TestSolveRejectsInvalidSet(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	set := comm.Set{{ID: 1, Src: mesh.Coord{U: 0, V: 0}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1}}

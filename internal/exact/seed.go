@@ -9,7 +9,7 @@ import (
 
 // seedIncumbent installs a pre-search incumbent so pruning starts from a
 // real power instead of +Inf: the registered BEST heuristic when the
-// registry has one (callers that import internal/heur or internal/core),
+// registry has one (callers that import internal/heur or internal/experiments),
 // a cheapest-increment greedy otherwise. The seed routing is replayed on
 // the search state and evaluated with the exact leaf scan — the incumbent
 // must be the true quantized power or the bound comparison would be

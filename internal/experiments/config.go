@@ -7,12 +7,22 @@
 // × policy list × platform combination runs through the same pipeline.
 // cmd/experiments, routed's /sweep and the repository benchmarks are thin
 // wrappers over this package.
+//
+// Importing experiments registers every routing policy family with the
+// solve registry; this file holds the only such imports, so every binary
+// that resolves policy names by importing this package sees all of them.
 package experiments
 
 import (
 	"fmt"
 
 	"repro/internal/scenario"
+
+	_ "repro/internal/exact"     // OPT
+	_ "repro/internal/heur"      // XY, SG, IG, TB, XYI, PR, BEST, SA
+	_ "repro/internal/multipath" // 2MP, 4MP
+	_ "repro/internal/optflow"   // MAXMP
+	_ "repro/internal/tabroute"  // TABLE
 )
 
 // DefaultTrials is the per-point trial count used when a spec leaves

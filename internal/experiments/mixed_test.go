@@ -4,18 +4,19 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/route"
 	"repro/internal/scenario"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
 // A sweep over a mixed policy list — single-path PR, equal-split 2MP and
 // the Frank–Wolfe MAXMP — must agree exactly with solving each trial
-// instance directly through the core facade: same per-trial seeds, same
-// normalization against the best feasible power in the list.
-func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
+// instance directly through the solve registry: same per-trial seeds,
+// same normalization against the best feasible power in the list.
+func TestMixedPolicySweepAgreesWithDirectSolves(t *testing.T) {
 	policies := []string{"PR", "2MP", "MAXMP"}
 	w := scenario.Params{N: 8, WMin: 100, WMax: 1200}
 	sp := scenario.Spec{ID: "mixed", Params: w, Seed: 21, Trials: 4, Policies: policies}
@@ -24,20 +25,17 @@ func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 		t.Fatalf("series count %d, want %d", len(res.Series), len(policies))
 	}
 
-	// Recompute every trial through core.SolveWith and reduce by hand.
+	// Recompute every trial through solve.Route and reduce by hand.
 	wantPow := make(map[string]float64)
 	wantFail := make(map[string]float64)
 	for trial := 0; trial < sp.Trials; trial++ {
 		seed := trialSeed(sp.Seed, 0, trial)
-		m := power.KimHorowitz()
-		set, err := scenario.DrawRandom(workload.New(mesh.MustNew(8, 8), 0), seed, w, nil)
+		m := mesh.MustNew(8, 8)
+		set, err := scenario.DrawRandom(workload.New(m, 0), seed, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := core.NewInstance(8, 8, m, set)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
 		type cell struct {
 			feasible bool
 			pow      float64
@@ -45,11 +43,12 @@ func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 		cells := make([]cell, len(policies))
 		best := -1.0
 		for i, name := range policies {
-			sol, err := inst.SolveWith(name, core.Options{Seed: seed})
+			r, err := solve.Route(name, in, solve.Options{Seed: seed})
 			if err != nil {
-				continue // counted as failure, like the panel does
+				continue // counted as failure, like the sweep does
 			}
-			cells[i] = cell{feasible: sol.Feasible(), pow: sol.PowerMW()}
+			res := route.Evaluate(r, in.Model)
+			cells[i] = cell{feasible: res.Feasible, pow: res.Power.Total()}
 			if cells[i].feasible && (best < 0 || cells[i].pow < best) {
 				best = cells[i].pow
 			}
@@ -72,10 +71,10 @@ func TestMixedPolicyPanelAgreesWithCore(t *testing.T) {
 		// The sweep's Welford mean and this plain sum/N may differ in the
 		// last ulp; the underlying per-trial values are identical.
 		if got, want := s.NormPowerInv[0], wantPow[name]/float64(sp.Trials); math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s norm power: panel %g, direct core %g", name, got, want)
+			t.Errorf("%s norm power: sweep %g, direct %g", name, got, want)
 		}
 		if got, want := s.FailureRatio[0], wantFail[name]/float64(sp.Trials); got != want {
-			t.Errorf("%s failure ratio: panel %g, direct core %g", name, got, want)
+			t.Errorf("%s failure ratio: sweep %g, direct %g", name, got, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	_ "repro/internal/core" // register every policy
 	"repro/internal/scenario"
 )
 

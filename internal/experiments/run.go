@@ -18,35 +18,6 @@ var ConstructiveNames = []string{"XY", "SG", "IG", "TB", "XYI", "PR"}
 // evaluates when its spec lists no policies.
 var HeuristicNames = append(append([]string{}, ConstructiveNames...), "BEST")
 
-// Series is one policy's curve across the sweep's points: the two y-axes
-// of Figures 7–9.
-type Series struct {
-	Name string
-	// NormPowerInv is the mean of (1/P_policy)/(1/P_best) per point, with
-	// failed instances contributing 0 — the paper's normalization, where
-	// P_best is the lowest feasible power any of the sweep's policies
-	// found on that instance.
-	NormPowerInv []float64
-	// FailureRatio is the fraction of instances with no valid solution.
-	FailureRatio []float64
-}
-
-// Result is a fully evaluated sweep, collected in memory by Run.
-type Result struct {
-	X      []float64
-	Series []Series
-}
-
-// SeriesByName returns the named series, or nil.
-func (r Result) SeriesByName(name string) *Series {
-	for i := range r.Series {
-		if r.Series[i].Name == name {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
 // instanceOutcome is one policy's evaluation on one instance.
 type instanceOutcome struct {
 	feasible bool
@@ -107,17 +78,6 @@ type SweepOptions struct {
 // interruption.
 func Sweep(sp scenario.Spec, opt SweepOptions, sinks ...Sink) error {
 	return stream(sp, opt, sinks, nil, reducePoint)
-}
-
-// Run evaluates a spec and collects its series in memory — Sweep into
-// one accumulating sink. Results are deterministic: per-trial seeds are
-// derived from (seed, point, trial) and the reduction is ordered.
-func Run(sp scenario.Spec, opt SweepOptions) (Result, error) {
-	rs := &resultSink{}
-	if err := Sweep(sp, opt, rs); err != nil {
-		return Result{}, err
-	}
-	return rs.result, nil
 }
 
 // pointSink is the streaming contract Sink and GapSink share over their

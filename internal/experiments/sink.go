@@ -239,28 +239,3 @@ func (s *ProgressSink) label() string {
 	}
 	return "sweep"
 }
-
-// resultSink collects a stream into the Result Run returns.
-type resultSink struct {
-	result Result
-}
-
-func (s *resultSink) Begin(meta SweepMeta) error {
-	s.result.X = make([]float64, 0, len(meta.X))
-	s.result.Series = make([]Series, len(meta.Policies))
-	for i, name := range meta.Policies {
-		s.result.Series[i] = Series{Name: name}
-	}
-	return nil
-}
-
-func (s *resultSink) Point(pr PointResult) error {
-	s.result.X = append(s.result.X, pr.X)
-	for i := range s.result.Series {
-		s.result.Series[i].NormPowerInv = append(s.result.Series[i].NormPowerInv, pr.NormPowerInv[i])
-		s.result.Series[i].FailureRatio = append(s.result.Series[i].FailureRatio, pr.FailureRatio[i])
-	}
-	return nil
-}
-
-func (s *resultSink) End() error { return nil }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/solve"
 	"repro/internal/stats"
-	_ "repro/internal/tabroute" // registers TABLE for topology panels
 	"repro/internal/theory"
 	"repro/internal/workload"
 )

@@ -8,8 +8,6 @@
 package heur
 
 import (
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -70,21 +68,6 @@ func Solve(h Heuristic, in Instance) (route.Result, error) {
 // order: XY, SG, IG, TB, XYI, PR.
 func All() []Heuristic {
 	return []Heuristic{XY{}, SG{}, IG{}, TB{}, XYI{}, PR{}}
-}
-
-// ByName returns the heuristic with the given name (case-sensitive,
-// matching the paper's abbreviations) or an error; "BEST" returns Best
-// over All().
-func ByName(name string) (Heuristic, error) {
-	if name == "BEST" {
-		return Best{Heuristics: All()}, nil
-	}
-	for _, h := range All() {
-		if h.Name() == name {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("heur: unknown heuristic %q", name)
 }
 
 // heurScratch is the pooled per-workspace scratch shared by the greedy

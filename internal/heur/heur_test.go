@@ -8,6 +8,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -125,18 +126,16 @@ func TestManhattanBeatsXYOnSuccessRate(t *testing.T) {
 	}
 }
 
+// Every heuristic and BEST registers under its paper abbreviation.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"XY", "SG", "IG", "TB", "XYI", "PR", "BEST"} {
-		h, err := ByName(name)
+	for _, h := range append(All(), Best{}) {
+		s, err := solve.Lookup(h.Name())
 		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
+			t.Fatalf("Lookup(%s): %v", h.Name(), err)
 		}
-		if h.Name() != name {
-			t.Errorf("ByName(%s).Name() = %s", name, h.Name())
+		if s.Name() != h.Name() {
+			t.Errorf("Lookup(%s).Name() = %s", h.Name(), s.Name())
 		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
 	}
 }
 

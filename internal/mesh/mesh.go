@@ -62,21 +62,6 @@ func (d Dir) Delta() (du, dv int) {
 	panic(fmt.Sprintf("mesh: invalid direction %d", int(d)))
 }
 
-// Opposite returns the reverse direction.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case East:
-		return West
-	case South:
-		return North
-	case West:
-		return East
-	case North:
-		return South
-	}
-	panic(fmt.Sprintf("mesh: invalid direction %d", int(d)))
-}
-
 // Step returns the neighboring coordinate one hop away in direction d.
 // The result may fall outside the mesh; callers check with Mesh.Contains.
 func (c Coord) Step(d Dir) Coord {

@@ -8,7 +8,7 @@ import (
 
 // smpSolver registers one equal-split policy ("2MP", "4MP"): split every
 // communication into s equal fragments and route the fragment stream with
-// the TB greedy (the inner heuristic the facade always used).
+// the TB greedy.
 // Options.MaxPaths overrides the split count; Options.Order reaches the
 // inner greedy.
 type smpSolver struct {

@@ -66,7 +66,7 @@ func (e EqualSplit) RouteWith(m *mesh.Mesh, model power.Model, set comm.Set, ws 
 	}
 	// Fragment with fresh dense IDs; remember the original ID per fragment.
 	// AppendSplitEqual writes the fragments straight into the pooled
-	// buffer — the per-comm intermediate slices SplitEqual used to build
+	// buffer — the per-comm intermediate slices a split-and-copy would build
 	// were the bulk of this policy's per-call allocations.
 	frags := sc.frags[:0]
 	origID := sc.origID[:0]

@@ -56,13 +56,6 @@ type Solution struct {
 	Iters int
 }
 
-// Solve minimizes the continuous dynamic power over all fractional
-// Manhattan routings of the communication set (the max-MP rule). Discrete
-// frequency sets in the model are relaxed to their continuous envelope.
-func Solve(m *mesh.Mesh, model power.Model, set comm.Set, opts Options) (*Solution, error) {
-	return SolveWith(m, model, set, opts, nil)
-}
-
 // fwScratch pools the Frank–Wolfe working state across workspace-reusing
 // solves: the two comm×link flow matrices, the marginal-cost and target
 // load vectors, and the dense shortest-path DP.
@@ -88,8 +81,11 @@ func zeroed(buf *[]float64, n int) []float64 {
 	return b
 }
 
-// SolveWith is Solve reusing the dense Frank–Wolfe state pooled in ws
-// (nil allocates fresh; results are identical either way). The returned
+// SolveWith minimizes the continuous dynamic power over all fractional
+// Manhattan routings of the communication set (the max-MP rule); discrete
+// frequency sets in the model are relaxed to their continuous envelope.
+// It reuses the dense Frank–Wolfe state pooled in ws (nil allocates
+// fresh; results are identical either way). The returned
 // Solution owns its Loads and PerComm — unlike routings, it never aliases
 // workspace memory.
 func SolveWith(m *mesh.Mesh, model power.Model, set comm.Set, opts Options, ws *route.Workspace) (*Solution, error) {
@@ -276,7 +272,7 @@ func xyPath(c comm.Comm) []mesh.Link {
 // pathDP is the dense scratch of the per-communication shortest-path DP:
 // coord-indexed distance/predecessor arrays with generation stamps (so a
 // new walk needs no clearing), plus the frontier-id and path buffers. One
-// instance serves every communication of a Solve.
+// instance serves every communication of a SolveWith.
 type pathDP struct {
 	dist     []float64
 	via      []mesh.Link

@@ -22,7 +22,7 @@ func TestSolveFigure2Optimum(t *testing.T) {
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1},
 		{ID: 2, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 3},
 	}
-	sol, err := Solve(m, model, set, Options{})
+	sol, err := SolveWith(m, model, set, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSingleCommSpreads(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	model := power.Figure2()
 	set := comm.Set{{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 2}}
-	sol, err := Solve(m, model, set, Options{})
+	sol, err := SolveWith(m, model, set, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPerCommConservation(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitzContinuous()
 	set := workload.New(m, 5).Uniform(10, 100, 2000)
-	sol, err := Solve(m, model, set, Options{MaxIters: 100})
+	sol, err := SolveWith(m, model, set, Options{MaxIters: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestOptimumSandwich(t *testing.T) {
 	model := power.Model{Pleak: 0, P0: 5.41, Alpha: 2.95, MaxBW: 1e18, FreqUnit: 1000}
 	for seed := int64(0); seed < 6; seed++ {
 		set := workload.New(m, 40+seed).Uniform(5, 200, 2500)
-		sol, err := Solve(m, model, set, Options{})
+		sol, err := SolveWith(m, model, set, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestOptimumBelowTheorem1Pattern(t *testing.T) {
 	p := 2 * pp
 	m := mesh.MustNew(p, p)
 	set := comm.Set{{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: p, V: p}, Rate: 1000}}
-	sol, err := Solve(m, model, set, Options{MaxIters: 800, Tolerance: 1e-8})
+	sol, err := SolveWith(m, model, set, Options{MaxIters: 800, Tolerance: 1e-8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMoreIterationsNeverWorse(t *testing.T) {
 	set := workload.New(m, 77).Uniform(15, 100, 2000)
 	prev := math.Inf(1)
 	for _, iters := range []int{1, 5, 20, 100} {
-		sol, err := Solve(m, model, set, Options{MaxIters: iters, Tolerance: 1e-12})
+		sol, err := SolveWith(m, model, set, Options{MaxIters: iters, Tolerance: 1e-12}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,13 +177,13 @@ func TestMoreIterationsNeverWorse(t *testing.T) {
 func TestSolveRejectsBadInput(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	bad := comm.Set{{ID: 1, Src: mesh.Coord{U: 9, V: 9}, Dst: mesh.Coord{U: 1, V: 1}, Rate: 1}}
-	if _, err := Solve(m, power.Figure2(), bad, Options{}); err == nil {
+	if _, err := SolveWith(m, power.Figure2(), bad, Options{}, nil); err == nil {
 		t.Error("invalid set accepted")
 	}
 	linear := power.Figure2()
 	linear.Alpha = 1
 	good := comm.Set{{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1}}
-	if _, err := Solve(m, linear, good, Options{}); err == nil {
+	if _, err := SolveWith(m, linear, good, Options{}, nil); err == nil {
 		t.Error("non-convex alpha accepted")
 	}
 }

@@ -362,20 +362,11 @@ func (t *LoadTracker) Evaluate(model power.Model) (power.Breakdown, bool) {
 	return b, true
 }
 
-// LinkPowerWith returns the power of link l if extra were added to its
-// current load. Infeasible loads return +Inf so greedy comparisons
-// naturally avoid them; the error is still reported by the final Evaluate.
-func (t *LoadTracker) LinkPowerWith(model power.Model, l mesh.Link, extra float64) float64 {
-	p, ok := model.LinkPowerOK(t.Load(l) + extra)
-	if !ok {
-		return inf
-	}
-	return p
-}
-
-// LinkPowerWithEv is LinkPowerWith against a compiled evaluator — the
-// table-lookup form for greedy hot loops. l must be valid by
-// construction: its id is read without the validity check.
+// LinkPowerWithEv returns the power of link l under the compiled
+// evaluator if extra were added to its current load. Infeasible loads
+// return +Inf so greedy comparisons naturally avoid them; the error is
+// still reported by the final Evaluate. l must be valid by construction:
+// its id is read without the validity check.
 func (t *LoadTracker) LinkPowerWithEv(ev *power.Evaluator, l mesh.Link, extra float64) float64 {
 	p, ok := ev.LinkPowerOK(t.loads[t.linkIDFast(l)] + extra)
 	if !ok {
@@ -384,21 +375,9 @@ func (t *LoadTracker) LinkPowerWithEv(ev *power.Evaluator, l mesh.Link, extra fl
 	return p
 }
 
-// DeltaPower returns the change in link power caused by adding extra to
-// link l (infeasible additions return +Inf).
-func (t *LoadTracker) DeltaPower(model power.Model, l mesh.Link, extra float64) float64 {
-	before, ok := model.LinkPowerOK(t.Load(l))
-	if !ok {
-		return inf
-	}
-	after, ok := model.LinkPowerOK(t.Load(l) + extra)
-	if !ok {
-		return inf
-	}
-	return after - before
-}
-
-// DeltaPowerEv is DeltaPower against a compiled evaluator.
+// DeltaPowerEv returns the change in link power under the compiled
+// evaluator caused by adding extra to link l (infeasible additions
+// return +Inf).
 func (t *LoadTracker) DeltaPowerEv(ev *power.Evaluator, l mesh.Link, extra float64) float64 {
 	load := t.Load(l)
 	before, ok := ev.LinkPowerOK(load)

@@ -94,22 +94,22 @@ func TestLinksByLoadDescDeterministicTies(t *testing.T) {
 
 func TestDeltaPowerAndLinkPowerWith(t *testing.T) {
 	m := mesh.MustNew(2, 2)
-	model := power.Figure2() // P = load³, BW 4
+	ev := power.Compile(power.Figure2()) // P = load³, BW 4
 	tr := NewLoadTracker(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	tr.Add(l, 1)
-	if got := tr.LinkPowerWith(model, l, 1); math.Abs(got-8) > 1e-9 {
-		t.Errorf("LinkPowerWith = %g, want 8", got)
+	if got := tr.LinkPowerWithEv(ev, l, 1); math.Abs(got-8) > 1e-9 {
+		t.Errorf("LinkPowerWithEv = %g, want 8", got)
 	}
-	if got := tr.DeltaPower(model, l, 1); math.Abs(got-7) > 1e-9 {
-		t.Errorf("DeltaPower = %g, want 7 (2³−1³)", got)
+	if got := tr.DeltaPowerEv(ev, l, 1); math.Abs(got-7) > 1e-9 {
+		t.Errorf("DeltaPowerEv = %g, want 7 (2³−1³)", got)
 	}
 	// Overload ⇒ +Inf.
-	if got := tr.DeltaPower(model, l, 100); !math.IsInf(got, 1) {
-		t.Errorf("overload DeltaPower = %g, want +Inf", got)
+	if got := tr.DeltaPowerEv(ev, l, 100); !math.IsInf(got, 1) {
+		t.Errorf("overload DeltaPowerEv = %g, want +Inf", got)
 	}
-	if got := tr.LinkPowerWith(model, l, 100); !math.IsInf(got, 1) {
-		t.Errorf("overload LinkPowerWith = %g, want +Inf", got)
+	if got := tr.LinkPowerWithEv(ev, l, 100); !math.IsInf(got, 1) {
+		t.Errorf("overload LinkPowerWithEv = %g, want +Inf", got)
 	}
 }
 

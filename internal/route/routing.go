@@ -206,13 +206,3 @@ func Evaluate(r Routing, model power.Model) Result {
 	res := Result{Routing: r, Loads: loads, Power: breakdown, Feasible: err == nil, Err: err}
 	return res
 }
-
-// PathLoads returns the loads produced by a single path carrying rate r,
-// useful for incremental what-if evaluation in heuristics.
-func PathLoads(m *mesh.Mesh, p Path, rate float64) map[int]float64 {
-	out := make(map[int]float64, len(p))
-	for _, l := range p {
-		out[m.LinkID(l)] += rate
-	}
-	return out
-}

@@ -144,17 +144,3 @@ func TestEvaluateInfeasible(t *testing.T) {
 		t.Errorf("MaxLoad = %g, want 10", got)
 	}
 }
-
-func TestPathLoads(t *testing.T) {
-	m := mesh.MustNew(3, 3)
-	p := XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 3, V: 3})
-	loads := PathLoads(m, p, 7)
-	if len(loads) != 4 {
-		t.Fatalf("PathLoads covers %d links, want 4", len(loads))
-	}
-	for id, l := range loads {
-		if l != 7 {
-			t.Errorf("link %d load %g, want 7", id, l)
-		}
-	}
-}

@@ -1,16 +1,18 @@
-// Package solve is the uniform policy layer of the library: every routing
-// policy family — the Section 5 single-path heuristics, the exact
-// branch-and-bound OPT, the equal-split multi-path rules, the Frank–Wolfe
-// max-MP optimum and the simulated-annealing refiner — presents itself as
-// a Solver and self-registers into a case-insensitive registry. Callers
-// (internal/core, internal/experiments, the commands) dispatch by policy
-// name and pass knobs through a single Options struct instead of
-// constructing per-family struct literals.
+// Package solve is the library's entry point and its uniform policy
+// layer: every routing policy family — the Section 5 single-path
+// heuristics, the exact branch-and-bound OPT, the equal-split multi-path
+// rules, the Frank–Wolfe max-MP optimum, the simulated-annealing refiner
+// and the topology-generic TABLE — presents itself as a Solver and
+// self-registers into a case-insensitive registry. Callers (the
+// experiment engine, the service, the commands, the examples) describe a
+// problem as an Instance, route it by policy name with Route and pass
+// knobs through a single Options struct instead of constructing
+// per-family struct literals.
 //
 // The registry is populated by init functions in the policy packages
-// (internal/heur, internal/multipath, internal/exact); importing any of
-// them — or internal/core, which imports them all — makes every policy
-// available.
+// (internal/heur, internal/exact, internal/multipath, internal/optflow,
+// internal/tabroute). internal/experiments imports them all, so
+// importing it makes every policy available.
 package solve
 
 import (

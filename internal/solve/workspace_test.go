@@ -1,11 +1,10 @@
-package core_test
+package solve_test
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -44,22 +43,9 @@ func equivCases(t *testing.T) []equivCase {
 	return cases
 }
 
-func sameFlows(a, b route.Routing) bool {
-	if len(a.Flows) != len(b.Flows) {
-		return false
-	}
-	for i := range a.Flows {
-		if a.Flows[i].Comm != b.Flows[i].Comm || len(a.Flows[i].Path) != len(b.Flows[i].Path) {
-			return false
-		}
-		for j := range a.Flows[i].Path {
-			if a.Flows[i].Path[j] != b.Flows[i].Path[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// registered is every policy the imports register, taken before
+// TestDuplicateRegistrationPanics adds its stub.
+var registered = solve.Policies()
 
 // Every registered policy must return bit-for-bit identical routings and
 // power figures whether it allocates fresh state per call or reuses one
@@ -67,7 +53,7 @@ func sameFlows(a, b route.Routing) bool {
 // the behavioral-equivalence pin of the workspace refactor.
 func TestWorkspaceReuseMatchesFreshAcrossPolicies(t *testing.T) {
 	cases := equivCases(t)
-	for _, policy := range core.Policies() {
+	for _, policy := range registered {
 		t.Run(policy, func(t *testing.T) {
 			ws := route.NewWorkspace() // shared across every instance of the policy
 			for _, tc := range cases {
@@ -84,7 +70,7 @@ func TestWorkspaceReuseMatchesFreshAcrossPolicies(t *testing.T) {
 				if freshErr != nil {
 					continue
 				}
-				if !sameFlows(fresh, reused) {
+				if !sameRouting(fresh, reused) {
 					t.Fatalf("%s: workspace reuse changed the routing", tc.name)
 				}
 				fe := route.Evaluate(fresh, tc.in.Model)
@@ -126,7 +112,7 @@ func TestWorkspaceReuseIsStable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", policy, err)
 			}
-			if !sameFlows(first[i], r) {
+			if !sameRouting(first[i], r) {
 				t.Errorf("%s: instance %d drifted on workspace re-solve", policy, i)
 			}
 		}
@@ -155,7 +141,7 @@ func TestWorkspaceHandlesSparseAndNegativeIDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s reused: %v", policy, err)
 		}
-		if !sameFlows(fresh, reused) {
+		if !sameRouting(fresh, reused) {
 			t.Errorf("%s: sparse-ID routing diverged under workspace reuse", policy)
 		}
 		if err := reused.Validate(set, 1); err != nil {

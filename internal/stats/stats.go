@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: online mean/variance accumulation (Welford) and
-// ratio counters for the two y-axes of Figures 7–9 (normalized inverse
-// power and failure ratio).
+// experiment harness: running means and ratio counters for the two
+// y-axes of Figures 7–9 (normalized inverse power and failure ratio).
 package stats
 
 import (
@@ -9,19 +8,16 @@ import (
 	"sort"
 )
 
-// Accumulator computes running mean and variance without storing samples.
+// Accumulator computes a running mean without storing samples.
 type Accumulator struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one sample into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // N returns the sample count.
@@ -29,25 +25,6 @@ func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the sample mean (0 with no samples).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Var returns the unbiased sample variance (0 with fewer than 2 samples).
-func (a *Accumulator) Var() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.Std() / math.Sqrt(float64(a.n))
-}
 
 // Ratio counts successes over trials (the failure-ratio axis).
 type Ratio struct {
@@ -80,21 +57,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of strictly positive xs (0 otherwise).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of xs by the

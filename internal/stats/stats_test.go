@@ -18,27 +18,20 @@ func TestAccumulatorKnownValues(t *testing.T) {
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %g, want 5", a.Mean())
 	}
-	// Population variance is 4; unbiased sample variance is 32/7.
-	if want := 32.0 / 7.0; math.Abs(a.Var()-want) > 1e-12 {
-		t.Errorf("Var = %g, want %g", a.Var(), want)
-	}
-	if math.Abs(a.Std()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("Std = %g", a.Std())
-	}
 }
 
 func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Var() != 0 || a.StdErr() != 0 {
+	if a.Mean() != 0 {
 		t.Error("empty accumulator not zero")
 	}
 	a.Add(3)
-	if a.Mean() != 3 || a.Var() != 0 {
+	if a.Mean() != 3 {
 		t.Error("single sample stats wrong")
 	}
 }
 
-// Welford agrees with the two-pass formula.
+// The running mean agrees with the summed mean.
 func TestAccumulatorMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -49,15 +42,8 @@ func TestAccumulatorMatchesTwoPass(t *testing.T) {
 			xs[i] = rng.NormFloat64()*10 + 50
 			a.Add(xs[i])
 		}
-		mean := Mean(xs)
-		ss := 0.0
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		wantVar := ss / float64(n-1)
-		if math.Abs(a.Mean()-mean) > 1e-9 || math.Abs(a.Var()-wantVar) > 1e-9 {
-			t.Fatalf("trial %d: welford (%g,%g) vs two-pass (%g,%g)",
-				trial, a.Mean(), a.Var(), mean, wantVar)
+		if mean := Mean(xs); math.Abs(a.Mean()-mean) > 1e-9 {
+			t.Fatalf("trial %d: running mean %g vs summed %g", trial, a.Mean(), mean)
 		}
 	}
 }
@@ -73,15 +59,6 @@ func TestRatio(t *testing.T) {
 	r.Add(true)
 	if math.Abs(r.Value()-0.75) > 1e-12 {
 		t.Errorf("Value = %g, want 0.75", r.Value())
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 4", got)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{1, 0, 2}) != 0 {
-		t.Error("degenerate GeoMean not 0")
 	}
 }
 

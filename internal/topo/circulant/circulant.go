@@ -107,9 +107,6 @@ func (c *Circulant) String() string {
 // N returns the number of nodes.
 func (c *Circulant) N() int { return c.n }
 
-// Generators returns the sorted generator set.
-func (c *Circulant) Generators() []int { return append([]int(nil), c.gens...) }
-
 // NumCores returns N.
 func (c *Circulant) NumCores() int { return c.n }
 

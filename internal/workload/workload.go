@@ -121,7 +121,3 @@ func (g *Generator) pairsAt(length int) [][2]mesh.Coord {
 	}
 	return g.pairsByLen[length]
 }
-
-// MaxLength returns the largest Manhattan distance on the mesh,
-// (p−1)+(q−1).
-func (g *Generator) MaxLength() int { return g.mesh.P() + g.mesh.Q() - 2 }

@@ -75,12 +75,6 @@ func TestTargetLengthPanicsWhenImpossible(t *testing.T) {
 	g.TargetLength(1, 1, 2, 99)
 }
 
-func TestMaxLength(t *testing.T) {
-	if got := New(mesh.MustNew(8, 8), 1).MaxLength(); got != 14 {
-		t.Errorf("MaxLength = %d, want 14", got)
-	}
-}
-
 func TestPipeline(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	set, err := Pipeline(m, nil, mesh.Coord{U: 1, V: 1}, 10, 500)

@@ -11,8 +11,8 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/solve"
 	"repro/internal/tabroute"
@@ -43,7 +43,7 @@ func loadsHash(loads []float64) uint64 {
 // interface seam may not perturb a single bit of mesh arithmetic.
 func TestMeshViaTopologyDifferential(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	model := core.KimHorowitzModel()
+	model := power.KimHorowitz()
 	policies := solve.Policies()
 	sort.Strings(policies)
 	if len(policies) == 0 {
@@ -106,7 +106,7 @@ func TestMeshViaTopologyDifferential(t *testing.T) {
 // returned routing stays on the devirtualized Mesh field.
 func TestTableEqualsXYOnMesh(t *testing.T) {
 	m := mesh.MustNew(6, 5)
-	model := core.KimHorowitzModel()
+	model := power.KimHorowitz()
 	for seed := int64(1); seed <= 5; seed++ {
 		set := workload.New(m, seed).Uniform(10, 100, 900)
 		r, err := tabroute.Solver{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
