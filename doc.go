@@ -36,10 +36,13 @@
 // from a per-core table of least out-link loads filled once per
 // communication: on every remaining diagonal the candidate's sub-box is
 // a contiguous range of that table. Both enumerate frontiers by dense
-// link id (mesh.AppendFrontierIDs). XYI retires a link on
-// which no move improves and wakes it only when a move touches a link its
-// evaluation read, and skips the power probes of candidates that raise
-// the overload excess. The golden figure tests pin the deterministic
+// link id (mesh.AppendFrontierIDs); a PR removal shifts its shares in
+// one pass and re-pushes only the links whose load moved. XYI retires a
+// link on which no move improves together with its candidates, each with
+// the signed reads of its span swap: after a move it re-evaluates only
+// the moved flow's candidates and the ones that read a changed load, and
+// wakes a link only when one of them improves. It also skips the power
+// probes of candidates that raise the overload excess. The golden figure tests pin the deterministic
 // heuristics' routings bit-for-bit, test-only reference Path-Remover,
 // XY-Improver and Improved Greedy engines pin PR, XYI and IG
 // differentially, and cmd/benchguard fails CI when IG/PR/XYI/SA ns/op

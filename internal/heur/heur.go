@@ -73,7 +73,7 @@ func All() []Heuristic {
 // heurScratch is the pooled per-workspace scratch shared by the greedy
 // heuristics: the sorted processing order, the frontier-id buffer, IG's
 // least-load table, candidate-path double buffer, move-sequence buffers,
-// the dense swap-effect accumulator and the hot-link heap of the rescan
+// the swap-effect id lists and the hot-link heap of the rescan
 // heuristics. One instance lives in each workspace under the "heur" slot.
 type heurScratch struct {
 	ordered comm.Set
@@ -84,19 +84,22 @@ type heurScratch struct {
 	minLoad []float64
 	// heap is the indexed most-loaded-link heap of XYI and PR.
 	heap route.LoadHeap
-	// watch is XYI's index of retired links and the links they read;
-	// read collects one evaluation's reads.
-	watch watchSet
-	read  []int
+	// watch is XYI's index of retired links and their candidates;
+	// moved/pre/changed are one applied move's links, their loads before
+	// it, and the ones whose load it changed.
+	watch   watchSet
+	moved   []int
+	pre     []float64
+	changed []int
 	// cand/best double-buffer candidate paths or spans (TB, XYI, SA): the
 	// current candidate is built in cand and swapped into best when it
 	// wins; full materializes XYI's winning full path.
 	cand, best, full route.Path
-	// delta/touched are the link-id-indexed accumulator of swapEffectOf
-	// (delta is always restored to zero before returning, touched lists
-	// the ids written).
-	delta   []float64
-	touched []int
+	// oldIDs/newIDs are swapEffectOf's sorted id lists of the two paths;
+	// touched/delta its merged ids with a non-zero delta and the deltas.
+	oldIDs, newIDs []int
+	touched        []int
+	delta          []float64
 	// needEval flags the communications the SA hill-climb must still
 	// examine (the dirty set).
 	needEval []bool

@@ -29,6 +29,14 @@ import (
 // out-links, recursively. What survives is the maximal clean sub-DAG,
 // exactly the links both reachable from the source and reaching the
 // sink, at a cost proportional to the links killed.
+//
+// A removal then shifts the communication's shares in one pass over its
+// pre-removal DAG: each link loses its old share and, if it survived,
+// gains its step's new share, in that order — the two additions of
+// subtracting every share and adding the new ones back, so a step whose
+// width did not change still rounds (x − s) + s exactly as that does
+// (refpr_test.go pins it). Only the links whose load moved, plus the
+// attacked link, go back into the hot-link heap.
 type PR struct {
 	// StaticShares disables the share redistribution: a removed link's
 	// virtual share simply disappears instead of concentrating on the
@@ -72,9 +80,8 @@ const (
 
 // prScratch is the pooled dense state of the PR heuristic: per-comm DAG
 // states and their live-bit arena, a link-id-indexed comm index
-// replacing the map[int][]int, the retired-link set, and the ordering
-// and touched-link buffers. One instance lives in each workspace under
-// the "heur.pr" slot.
+// replacing the map[int][]int, and the ordering and moved-link buffers.
+// One instance lives in each workspace under the "heur.pr" slot.
 type prScratch struct {
 	states []prState
 	// multiLeft counts the states still holding more than one path.
@@ -85,28 +92,28 @@ type prScratch struct {
 	// live is the arena the states' live bits view into, sized to the
 	// largest instance seen.
 	live []uint8
-	// commsByLink[id] lists indices into states of communications whose
-	// remaining DAG includes link id (dense over LinkIDSpace), in
-	// removal-preference order: rate descending, then ID ascending.
+	// commsByLink[id] lists, as indices into states, the communications
+	// that may still remove link id (dense over LinkIDSpace), in reverse
+	// removal-preference order: the last entry is the next to try (rate
+	// descending, then ID ascending, from the end). removeFromHeaviest
+	// pops every entry it passes over: a user that cannot remove the link
+	// never can again — the link left its DAG, it is single-path, or the
+	// link is alone in its step, and all three only ever persist. So a
+	// link with an empty list is retired for good and never re-enters
+	// the hot-link heap.
 	commsByLink [][]int
-	// dead is a generation-stamped link-id set (one generation per solve)
-	// of links on which a removal failed. A failure is final: the
-	// communications on a link only ever leave it, multi-path ones only
-	// ever become single-path, and a step's width only ever shrinks, so
-	// a retired link never re-enters the hot-link heap.
-	dead    []int
-	deadGen int
 	// killed stamps, with one generation per removal, the links a
-	// removal's cleaning cascade killed.
-	killed  []int
-	killGen int
+	// removal's cleaning cascade killed; killedAt[t] counts them per
+	// diagonal step t.
+	killed   []int
+	killGen  int
+	killedAt []int
 	// order holds the state indices in removal-preference order while
 	// commsByLink is built.
 	order []int
-	// touched records the pre-removal DAG of the removing communication —
-	// every link whose load the removal can change — for the caller's
-	// heap re-push.
-	touched []int
+	// moved lists the links whose load the last removal changed, for
+	// the caller's heap re-push.
+	moved []int
 }
 
 func prScratchOf(ws *route.Workspace) *prScratch {
@@ -147,15 +154,12 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	sc.states = sc.states[:len(in.Comms)]
 	if len(sc.commsByLink) != m.LinkIDSpace() {
 		sc.commsByLink = make([][]int, m.LinkIDSpace())
-		sc.dead = make([]int, m.LinkIDSpace())
-		sc.deadGen = 0
 		sc.killed = make([]int, m.LinkIDSpace())
 		sc.killGen = 0
 	}
 	for id := range sc.commsByLink {
 		sc.commsByLink[id] = sc.commsByLink[id][:0]
 	}
-	sc.deadGen++
 	sc.multiLeft = 0
 	cells := 0
 	for i, c := range in.Comms {
@@ -185,10 +189,10 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		if st.refreshMulti() {
 			sc.multiLeft++
 		}
-		st.addShares(loads, +1)
+		st.addShares(loads)
 	}
-	// The link→comm index lists each link's users in the order
-	// removeFromHeaviest tries them; deletions keep it.
+	// The link→comm index lists each link's users in reverse of the
+	// order removeFromHeaviest tries them.
 	sc.order = sc.order[:0]
 	for i := range sc.states {
 		sc.order = append(sc.order, i)
@@ -200,7 +204,7 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		}
 		return states[a].c.ID - states[b].c.ID
 	})
-	for _, i := range sc.order {
+	for _, i := range slices.Backward(sc.order) {
 		for _, step := range states[i].steps {
 			for _, id := range step {
 				sc.commsByLink[id] = append(sc.commsByLink[id], i)
@@ -211,8 +215,9 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	// Link removal order: always attack the most-loaded live link first.
 	// The heap pops in exactly the LinksByLoadDesc order, with the links
 	// whose shares moved re-pushed after each removal. A link on which no
-	// removal applies is retired for good (see prScratch.dead): a rescan
-	// from the top after the next removal would only fail on it again.
+	// removal applies is retired for good (see prScratch.commsByLink): a
+	// rescan from the top after the next removal would only fail on it
+	// again.
 	hp := &hsc.heap
 	hp.Init(loads)
 	for sc.multiLeft > 0 {
@@ -226,15 +231,18 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 				st.c.ID, st.c.Src, st.c.Dst)
 		}
 		if !removeFromHeaviest(m, loads, sc, id) {
-			sc.dead[id] = sc.deadGen
 			continue
 		}
-		// Re-pushing a link whose load did not move is a no-op, and the
-		// popped link is among the touched ones, so it re-enters too.
-		for _, lid := range sc.touched {
-			if sc.dead[lid] != sc.deadGen {
+		// Every link outside the heap is retired, at zero load, or the
+		// popped one, so the links whose load moved and the popped link
+		// are all that must be pushed.
+		for _, lid := range sc.moved {
+			if len(sc.commsByLink[lid]) > 0 {
 				hp.Push(lid)
 			}
+		}
+		if len(sc.commsByLink[id]) > 0 {
+			hp.Push(id)
 		}
 	}
 
@@ -252,35 +260,42 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 // removeFromHeaviest tries to delete link id from the heaviest multi-path
 // communication using it, per the Section 5.5 tie-walk ("unless this
 // removal would break its last remaining path […] we consider removing the
-// second communication, and so on"). commsByLink[id] already lists the
-// link's users heaviest first. It reports whether a removal was applied.
+// second communication, and so on"). commsByLink[id] lists the link's
+// users heaviest last; every user tried leaves the list, the one that
+// removes the link included. It reports whether a removal was applied.
 func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, id int) bool {
 	l := m.LinkByID(id)
-	for _, i := range sc.commsByLink[id] {
-		st := &sc.states[i]
-		if !st.multi || !st.canRemove(l.From) {
+	users := sc.commsByLink[id]
+	for len(users) > 0 {
+		st := &sc.states[users[len(users)-1]]
+		users = users[:len(users)-1]
+		if !st.multi || !st.uses(l) || !st.canRemove(l.From) {
 			continue
 		}
-		st.addShares(loads, -1)
-		if !st.remove(sc, i, l) {
+		sc.commsByLink[id] = users
+		if !st.remove(sc, loads, l) {
 			sc.multiLeft--
 		}
-		st.addShares(loads, +1)
 		return true
 	}
+	sc.commsByLink[id] = users
 	return false
 }
 
-// addShares adds (sign=+1) or removes (sign=-1) the communication's
-// virtual loads: rate/|steps[t]| on each allowed link of step t, or
-// rate/initSizes[t] under the StaticShares ablation.
-func (st *prState) addShares(loads *route.LoadTracker, sign float64) {
+// share returns the communication's virtual load on each link of step
+// t when the step is width links wide: rate/width, or rate/initSizes[t]
+// under the StaticShares ablation.
+func (st *prState) share(t, width int) float64 {
+	if st.static {
+		width = st.initSizes[t]
+	}
+	return st.c.Rate / float64(width)
+}
+
+// addShares adds the communication's virtual loads to the tracker.
+func (st *prState) addShares(loads *route.LoadTracker) {
 	for t, step := range st.steps {
-		denom := float64(len(step))
-		if st.static {
-			denom = float64(st.initSizes[t])
-		}
-		share := sign * st.c.Rate / denom
+		share := st.share(t, len(step))
 		for _, id := range step {
 			loads.AddID(id, share)
 		}
@@ -291,6 +306,17 @@ func (st *prState) addShares(loads *route.LoadTracker, sign float64) {
 func (st *prState) refreshMulti() bool {
 	st.multi = slices.ContainsFunc(st.steps, func(step []int) bool { return len(step) > 1 })
 	return st.multi
+}
+
+// uses reports whether link l, which lies in the communication's
+// bounding box along a Manhattan move, is still in its DAG: whether its
+// tail core's out-bit for the move is live.
+func (st *prState) uses(l mesh.Link) bool {
+	bit := outV
+	if l.From.U != l.To.U {
+		bit = outU
+	}
+	return st.live[st.box.Cell(abs(l.From.U-st.c.Src.U), abs(l.From.V-st.c.Src.V))]&bit != 0
 }
 
 // canRemove reports whether deleting a link leaving core from keeps at
@@ -330,31 +356,38 @@ func (st *prState) initLive() {
 }
 
 // remove deletes link l and prunes every link no longer on a src→dst
-// path, the paper's cleaning step. It records the pre-removal links in
-// sc.touched, drops the killed links from their steps and the
-// communication (states index self) from their index entries, and
-// reports whether more than one path remains.
-func (st *prState) remove(sc *prScratch, self int, l mesh.Link) bool {
+// path, the paper's cleaning step, then shifts the shares in one pass:
+// every pre-removal link loses its old share, a surviving one then gains
+// its step's new share, and the killed links leave their steps. It
+// records the links whose load moved in sc.moved and reports whether
+// more than one path remains. The killed links' index entries are left
+// for removeFromHeaviest to drop (see uses).
+func (st *prState) remove(sc *prScratch, loads *route.LoadTracker, l mesh.Link) bool {
 	sc.killGen++
+	sc.killedAt = append(sc.killedAt[:0], make([]int, len(st.steps))...)
 	st.kill(sc, abs(l.From.U-st.c.Src.U), abs(l.From.V-st.c.Src.V), l.From.U != l.To.U)
-	sc.touched = sc.touched[:0]
+	moved := sc.moved[:0]
 	for t, step := range st.steps {
-		sc.touched = append(sc.touched, step...)
+		width := len(step) - sc.killedAt[t]
+		if width == 0 {
+			panic("heur: PR pruned a communication to zero paths")
+		}
+		oldShare, newShare := st.share(t, len(step)), st.share(t, width)
 		kept := step[:0]
 		for _, lid := range step {
+			before := loads.LoadID(lid)
+			loads.AddID(lid, -oldShare)
 			if sc.killed[lid] != sc.killGen {
+				loads.AddID(lid, newShare)
 				kept = append(kept, lid)
-				continue
 			}
-			users := sc.commsByLink[lid]
-			j := slices.Index(users, self)
-			sc.commsByLink[lid] = slices.Delete(users, j, j+1)
-		}
-		if len(kept) == 0 {
-			panic("heur: PR pruned a communication to zero paths")
+			if loads.LoadID(lid) != before {
+				moved = append(moved, lid)
+			}
 		}
 		st.steps[t] = kept
 	}
+	sc.moved = moved
 	return st.refreshMulti()
 }
 
@@ -377,6 +410,7 @@ func (st *prState) kill(sc *prScratch, a, b int, alongU bool) {
 	st.live[x] &^= out
 	st.live[y] &^= in
 	sc.killed[id] = sc.killGen
+	sc.killedAt[a+b]++
 
 	if st.live[x]&(outU|outV) == 0 {
 		if st.live[x]&inU != 0 {

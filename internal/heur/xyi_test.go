@@ -1,7 +1,9 @@
 package heur
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -201,12 +203,18 @@ func randomSet(m *mesh.Mesh, seed int64, n int, wmin, wmax float64) comm.Set {
 	return set
 }
 
-// watchSet against a map model under random retire/wake sequences: a
-// wake pushes exactly the retired links whose last reads include the
-// woken link, the live nodes are exactly the distinct reads of the
-// retired links, and the arena never grows beyond the most nodes live
-// at once — repeated failures of one link do not accumulate storage.
-func TestWatchSetWakesExactlyTheReaders(t *testing.T) {
+// watchSet against a map model under random retire/move sequences. A
+// move wakes the attacked link in full, replaces the moved flow's
+// candidate on every other retired link of its paths with a fresh
+// evaluation, and pushes the path links not retired. It re-evaluates
+// exactly the other recorded candidates of retired links that read a
+// changed link (a self-read among them), each once, none after its link
+// is due to wake, and each from the deltas it was recorded with. It
+// wakes in full exactly the retired links with an improving evaluation.
+// The live nodes are exactly the recorded candidates and their reads,
+// and the arenas never grow beyond the most nodes live at once —
+// repeated failures of one link do not accumulate storage.
+func TestWatchSetRechecksExactlyTheReaders(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	var ids []int
 	tr := route.NewLoadTracker(m)
@@ -215,6 +223,24 @@ func TestWatchSetWakesExactlyTheReaders(t *testing.T) {
 		tr.Add(l, 1)
 	}
 	rng := rand.New(rand.NewSource(5))
+	randIDs := func(max int) []int {
+		seen := map[int]bool{}
+		var out []int
+		for k := rng.Intn(max + 1); k > 0; k-- {
+			if id := ids[rng.Intn(len(ids))]; !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	// A candidate is its link, its flow and its signed reads; its rate,
+	// unique in the test, names it.
+	type cand struct {
+		w, pos int
+		reads  map[int]float64
+	}
 	var s watchSet
 	var h route.LoadHeap
 	for round := 0; round < 20; round++ {
@@ -222,61 +248,223 @@ func TestWatchSetWakesExactlyTheReaders(t *testing.T) {
 		h.Init(tr)
 		for _, ok := h.Pop(); ok; _, ok = h.Pop() {
 		}
-		reads := map[int]map[int]bool{} // retired link -> its distinct reads
-		maxLive := 0
-		for step := 0; step < 300; step++ {
+		cands := map[float64]cand{}
+		recorded := map[int][]float64{} // link -> its candidates' rates
+		retired := map[int]bool{}
+		nextRate := 0.5
+		// record adds a candidate of flow pos to link w, with random
+		// reads (w itself among them a quarter of the time).
+		record := func(w, pos int) float64 {
+			rate := nextRate
+			nextRate++
+			reads := randIDs(6)
+			if rng.Intn(4) == 0 {
+				reads = append(reads, w)
+				slices.Sort(reads)
+				reads = slices.Compact(reads)
+			}
+			c := cand{w: w, pos: pos, reads: map[int]float64{}}
+			var delta []float64
+			for _, r := range reads {
+				d := rate
+				if rng.Intn(2) == 0 {
+					d = -rate
+				}
+				delta = append(delta, d)
+				c.reads[r] = d
+			}
+			s.addCand(w, pos, rate, reads, delta)
+			cands[rate] = c
+			recorded[w] = append(recorded[w], rate)
+			return rate
+		}
+		// scan records candidates of distinct flows on link w, as an
+		// evaluation of a popped link does.
+		scan := func(w int) {
+			for pos, k := rng.Intn(3), rng.Intn(5); k > 0; pos, k = pos+1+rng.Intn(3), k-1 {
+				record(w, pos)
+			}
+		}
+		drop := func(w int, keep func(c cand) bool) {
+			recorded[w] = slices.DeleteFunc(recorded[w], func(rate float64) bool { return !keep(cands[rate]) })
+		}
+		// peak tracks the most candidates and reads the model held at once.
+		maxCands, maxReads := 0, 0
+		peak := func() {
+			nc, nr := 0, 0
+			for _, rates := range recorded {
+				for _, rate := range rates {
+					nc, nr = nc+1, nr+len(cands[rate].reads)
+				}
+			}
+			maxCands, maxReads = max(maxCands, nc), max(maxReads, nr)
+		}
+		for step := 0; step < 400; step++ {
+			w := ids[rng.Intn(len(ids))]
+			if retired[w] {
+				continue
+			}
+			scan(w)
+			peak()
 			if rng.Intn(3) > 0 {
-				w := ids[rng.Intn(len(ids))]
-				if reads[w] != nil {
-					continue
-				}
-				read := []int{w}
-				for k := rng.Intn(12); k > 0; k-- {
-					read = append(read, ids[rng.Intn(len(ids))])
-				}
-				s.retire(w, read)
-				reads[w] = map[int]bool{}
-				for _, r := range read {
-					reads[w][r] = true
-				}
+				s.retire(w)
+				retired[w] = true
 			} else {
-				r := ids[rng.Intn(len(ids))]
-				s.wake(r, &h)
-				var woken []int
+				lid, pos := w, rng.Intn(8)
+				path := append(randIDs(8), lid)
+				slices.Sort(path)
+				path = slices.Compact(path)
+				var changed []int
+				for _, id := range path {
+					if rng.Intn(2) == 0 {
+						changed = append(changed, id)
+					}
+				}
+				before := map[float64]bool{} // candidates recorded before the move
+				for rate := range cands {
+					before[rate] = true
+				}
+				freshed := map[int]bool{}
+				rechecked := map[float64]bool{}
+				improved := map[int]bool{}
+				fresh := func(w, p int) bool {
+					if p != pos || w == lid || !retired[w] || !slices.Contains(path, w) || freshed[w] {
+						t.Fatalf("round %d step %d: fresh(%d, %d) is not the moved flow %d on a retired path link", round, step, w, p, pos)
+					}
+					freshed[w] = true
+					for k := s.chain[w]; k >= 0; k = s.cands[k].sib {
+						if int(s.cands[k].pos) == pos {
+							t.Fatalf("round %d step %d: link %d still holds the moved flow's candidate", round, step, w)
+						}
+					}
+					drop(w, func(c cand) bool { return c.pos != pos })
+					switch rng.Intn(5) {
+					case 0:
+						improved[w] = true
+						return true
+					case 1, 2:
+						record(w, pos)
+						peak()
+					}
+					return false
+				}
+				recheck := func(touched []int, delta []float64) bool {
+					if len(delta) == 0 {
+						t.Fatalf("round %d step %d: rechecked a candidate with no reads", round, step)
+					}
+					rate := max(delta[0], -delta[0])
+					c, ok := cands[rate]
+					if !ok || !before[rate] || !slices.Contains(recorded[c.w], rate) || c.w == lid {
+						t.Fatalf("round %d step %d: rechecked %v, which is not a candidate recorded before the move", round, step, rate)
+					}
+					if rechecked[rate] {
+						t.Fatalf("round %d step %d: candidate %v rechecked twice in one move", round, step, rate)
+					}
+					rechecked[rate] = true
+					if !retired[c.w] || improved[c.w] {
+						t.Fatalf("round %d step %d: rechecked %v although its link %d is not retired or wakes already", round, step, rate, c.w)
+					}
+					if !slices.IsSorted(touched) || len(touched) != len(c.reads) {
+						t.Fatalf("round %d step %d: candidate %v rechecked from reads %v, want %v ascending", round, step, rate, touched, c.reads)
+					}
+					for i, r := range touched {
+						if d, ok := c.reads[r]; !ok || d != delta[i] {
+							t.Fatalf("round %d step %d: candidate %v rechecked with delta %v on link %d, recorded %v", round, step, rate, delta[i], r, d)
+						}
+					}
+					if !slices.ContainsFunc(changed, func(r int) bool { _, ok := c.reads[r]; return ok }) {
+						t.Fatalf("round %d step %d: rechecked %v, which read no changed link", round, step, rate)
+					}
+					if rng.Intn(4) == 0 {
+						improved[c.w] = true
+						return true
+					}
+					return false
+				}
+				s.move(lid, pos, path, changed, &h, fresh, recheck)
+
+				want := map[int]bool{lid: true}
+				for _, id := range path {
+					if !retired[id] {
+						want[id] = true
+					} else if id != lid && !freshed[id] {
+						t.Fatalf("round %d step %d: retired path link %d got no fresh evaluation", round, step, id)
+					}
+				}
+				for w := range improved {
+					want[w] = true
+				}
+				for rate := range before {
+					c := cands[rate]
+					if rechecked[rate] || !retired[c.w] || improved[c.w] || !slices.Contains(recorded[c.w], rate) {
+						continue
+					}
+					if slices.ContainsFunc(changed, func(r int) bool { _, ok := c.reads[r]; return ok }) {
+						t.Fatalf("round %d step %d: candidate %v read a changed link but was not rechecked", round, step, rate)
+					}
+				}
+				got := map[int]bool{}
 				for id, ok := h.Pop(); ok; id, ok = h.Pop() {
-					woken = append(woken, id)
+					got[id] = true
 				}
-				for _, w := range woken {
-					if reads[w] == nil || !reads[w][r] {
-						t.Fatalf("round %d step %d: waking %d pushed %d, which does not watch it", round, step, r, w)
+				if !maps.Equal(got, want) {
+					t.Fatalf("round %d step %d: move pushed %v, want %v", round, step, got, want)
+				}
+				for w := range want {
+					delete(recorded, w)
+					delete(retired, w)
+				}
+			}
+			// The index holds exactly the model's candidates and reads.
+			liveCands, liveReads := 0, 0
+			for w, rates := range recorded {
+				var held []float64
+				for k := s.chain[w]; k >= 0; k = s.cands[k].sib {
+					cd := s.cands[k]
+					c, ok := cands[cd.rate]
+					if !ok || int(cd.w) != w || c.w != w || int(cd.pos) != c.pos {
+						t.Fatalf("round %d step %d: stray candidate %v of %d", round, step, cd.rate, w)
 					}
-					delete(reads, w)
-				}
-				for w, rs := range reads {
-					if rs[r] {
-						t.Fatalf("round %d step %d: waking %d left its watcher %d retired", round, step, r, w)
+					r := 0
+					for n := cd.reads; n >= 0; n = s.reads[n].sib {
+						if _, ok := c.reads[int(s.reads[n].r)]; !ok || s.reads[n].cand != k {
+							t.Fatalf("round %d step %d: stray read %d of candidate %v", round, step, s.reads[n].r, cd.rate)
+						}
+						r++
 					}
-				}
-			}
-			want := 0
-			for _, rs := range reads {
-				want += len(rs)
-			}
-			live := 0
-			for w := range reads {
-				for n := s.chain[w]; n >= 0; n = s.nodes[n].sib {
-					if !reads[w][int(s.nodes[n].r)] {
-						t.Fatalf("round %d step %d: stray node %d->%d", round, step, w, s.nodes[n].r)
+					if r != len(c.reads) {
+						t.Fatalf("round %d step %d: candidate %v holds %d reads, want %d", round, step, cd.rate, r, len(c.reads))
 					}
-					live++
+					held = append(held, cd.rate)
+					liveReads += r
+				}
+				slices.Sort(held)
+				if !slices.Equal(held, slices.Sorted(slices.Values(rates))) {
+					t.Fatalf("round %d step %d: link %d holds candidates %v, want %v", round, step, w, held, rates)
+				}
+				liveCands += len(held)
+			}
+			for _, w := range ids {
+				if s.retired[w] != retired[w] {
+					t.Fatalf("round %d step %d: link %d retired=%v, want %v", round, step, w, s.retired[w], retired[w])
 				}
 			}
-			if live != want {
-				t.Fatalf("round %d step %d: %d live nodes, want %d", round, step, live, want)
+			onLists := 0
+			for _, r := range ids {
+				for n := s.head[r]; n >= 0; n = s.reads[n].next {
+					if int(s.reads[n].r) != r {
+						t.Fatalf("round %d step %d: node of link %d on the list of %d", round, step, s.reads[n].r, r)
+					}
+					onLists++
+				}
 			}
-			maxLive = max(maxLive, live)
-			if len(s.nodes) > maxLive {
-				t.Fatalf("round %d step %d: arena holds %d nodes, at most %d were ever live", round, step, len(s.nodes), maxLive)
+			if onLists != liveReads {
+				t.Fatalf("round %d step %d: %d read nodes on link lists, want %d", round, step, onLists, liveReads)
+			}
+			peak()
+			if len(s.cands) > maxCands || len(s.reads) > maxReads {
+				t.Fatalf("round %d step %d: arenas hold %d candidates and %d reads, at most %d and %d were ever live",
+					round, step, len(s.cands), len(s.reads), maxCands, maxReads)
 			}
 		}
 	}

@@ -76,6 +76,7 @@ func TestLookupUnknownErrorText(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	solve.Register(solve.Func{PolicyName: "DUP-TEST", RouteFunc: nil})
+	t.Cleanup(func() { solve.Unregister("DUP-TEST") })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
@@ -84,6 +85,18 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	// Same name, different case: the registry is case-insensitive, so this
 	// must still collide.
 	solve.Register(solve.Func{PolicyName: "dup-test", RouteFunc: nil})
+}
+
+// The duplicate-registration test leaves no policy behind: a nil
+// RouteFunc left in the process-wide registry would panic any later test
+// that routes every registered policy.
+func TestDuplicateRegistrationLeavesNoPolicy(t *testing.T) {
+	t.Run("duplicate", TestDuplicateRegistrationPanics)
+	for _, name := range solve.Policies() {
+		if strings.EqualFold(name, "DUP-TEST") {
+			t.Fatalf("solve.Policies() still lists %q after the duplicate-registration test", name)
+		}
+	}
 }
 
 func TestRouteMatchesDirectPolicies(t *testing.T) {
