@@ -146,27 +146,38 @@ func TestGoldenSmokeSpec(t *testing.T) {
 	}
 }
 
-// The checked-in optimality-gap spec must stream the gap CSV matching its
-// checked-in golden at the serial worker count and at NumCPU — the same
-// invariant the CI optgap smoke step enforces through cmd/experiments.
+// The checked-in optimality-gap spec must stream the gap CSV and render
+// the gap table matching their checked-in goldens at the serial worker
+// count and at NumCPU — the same invariant the CI optgap smoke step
+// enforces through cmd/experiments, whose stdout is the table followed
+// by a blank line.
 func TestGoldenOptGapSpec(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
 	sp, err := scenario.LoadSpec(filepath.Join(dir, "optgap.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join(dir, "optgap_optgap.golden.csv"))
+	wantCSV, err := os.ReadFile(filepath.Join(dir, "optgap_optgap.golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTable, err := os.ReadFile(filepath.Join(dir, "optgap_optgap.golden.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		var got bytes.Buffer
-		if err := OptGap(sp, SweepOptions{Workers: workers}, 0, NewGapCSVSink(&got)); err != nil {
+		ts := NewGapTableSink()
+		if err := OptGap(sp, SweepOptions{Workers: workers}, 0, NewGapCSVSink(&got), ts); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
+		if !bytes.Equal(got.Bytes(), wantCSV) {
 			t.Errorf("workers=%d: gap CSV diverged from the checked-in golden\n--- got ---\n%s--- want ---\n%s",
-				workers, got.Bytes(), want)
+				workers, got.Bytes(), wantCSV)
+		}
+		if table := ts.Table().String() + "\n"; table != string(wantTable) {
+			t.Errorf("workers=%d: gap table diverged from the checked-in golden\n--- got ---\n%s--- want ---\n%s",
+				workers, table, wantTable)
 		}
 	}
 }
