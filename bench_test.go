@@ -178,12 +178,13 @@ func BenchmarkNPGadget(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		routing, ok, err := red.Feasible()
-		if err != nil {
-			b.Fatal(err)
-		}
+		subset, ok := npc.Partition(red.A)
 		if !ok {
 			b.Fatal("gadget unexpectedly infeasible")
+		}
+		routing, err := red.RoutingFromPartition(subset)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if err := routing.Validate(red.Comms, red.S); err != nil {
 			b.Fatal(err)

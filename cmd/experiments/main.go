@@ -45,50 +45,64 @@ import (
 )
 
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "canned experiment id: fig2, fig7a..fig9c, summary, thm1, lemma2, open1mp, patterns, noc, all (ignored when -spec/-source is given)")
-		trials  = flag.Int("trials", 0, "trials per point (0 = spec value or default 400; the paper used 50000)")
-		seed    = flag.Int64("seed", 0, "seed offset added to each sweep's base seed")
-		csvDir  = flag.String("csv", "", "directory for streamed CSV output (optional)")
-		jsonl   = flag.String("jsonl", "", "file for streamed JSON-lines output (optional, sweeps only)")
-		md      = flag.Bool("md", false, "render tables as markdown instead of aligned text")
-		pols    = flag.String("policies", "", "comma-separated policy list, applied uniformly to every experiment that evaluates policies (registered: "+strings.Join(solve.Policies(), ", ")+")")
-		spec    = flag.String("spec", "", "JSON sweep spec file to run (see examples/specs/)")
-		source  = flag.String("source", "", "build a sweep from flags: scenario source name (registered: "+strings.Join(scenario.Sources(), ", ")+")")
-		meshGe  = flag.String("mesh", "", "mesh geometry PxQ for -source sweeps (default 8x8)")
-		topoGe  = flag.String("topology", "", "non-mesh platform for -source sweeps, e.g. torus:8x8 or circulant:27:1,3,9 (mutually exclusive with -mesh; needs topology-capable -policies like TABLE)")
-		axis    = flag.String("axis", "", "sweep axis for -source sweeps: n, weight, length, rate (default: single point)")
-		points  = flag.String("points", "", "comma-separated x-values for -axis")
-		nComms  = flag.Int("n", 0, "base communication count for -source sweeps (default 30 for the random family)")
-		wmin    = flag.Float64("wmin", 0, "minimum weight Mb/s for -source sweeps (default 100 when no -rate)")
-		wmax    = flag.Float64("wmax", 0, "maximum weight Mb/s for -source sweeps (default 1500 when no -rate)")
-		rate    = flag.Float64("rate", 0, "fixed per-flow rate Mb/s for the pattern sources")
-		length  = flag.Int("length", 0, "exact Manhattan length for the random family")
-		workers = flag.Int("workers", 0, "persistent sweep workers on the work-stealing scheduler (0 = all cores); output is byte-identical at every worker count")
-		resume  = flag.Bool("resume", false, "resume an interrupted sweep from the streamed CSV in -csv (skips completed points)")
-		optgap  = flag.Bool("optgap", false, "run the sweep as an optimality-gap report: each policy's mean power ratio against the exact OPT on the same instances (keep meshes and -n small)")
-		optSt   = flag.Int("optstates", 0, "per-instance OPT node budget for -optgap (0 = the default; unsolved instances are reported, not fatal)")
-		prog    = flag.Bool("progress", false, "report per-point progress on stderr")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write a pprof heap profile (post-run allocations) to this file")
-	)
+	c := bindFlags(flag.CommandLine)
 	flag.Parse()
-	os.Exit(profiledRun(*cpuProf, *memProf, cfg{
-		exp: *exp, trials: *trials, seed: *seed, csvDir: *csvDir, jsonl: *jsonl,
-		md: *md, policies: parseList(*pols), specFile: *spec, source: *source,
-		mesh: *meshGe, topology: *topoGe, axis: *axis, points: *points, n: *nComms,
-		wmin: *wmin, wmax: *wmax, rate: *rate, length: *length,
-		workers: *workers, resume: *resume, progress: *prog,
-		optgap: *optgap, optStates: *optSt,
-	}))
+	os.Exit(profiledRun(*c))
+}
+
+// bindFlags defines the command's flags on fs, each bound straight onto
+// the run's cfg (the -source family onto its scenario.Spec), and returns
+// that cfg.
+func bindFlags(fs *flag.FlagSet) *cfg {
+	c := &cfg{}
+	src := &c.source
+	fs.StringVar(&c.exp, "exp", "all", "canned experiment id: fig2, fig7a..fig9c, summary, thm1, lemma2, open1mp, patterns, noc, all (ignored when -spec/-source is given)")
+	fs.IntVar(&c.trials, "trials", 0, "trials per point (0 = spec value or default 400; the paper used 50000)")
+	fs.Int64Var(&c.seed, "seed", 0, "seed offset added to each sweep's base seed")
+	fs.StringVar(&c.csvDir, "csv", "", "directory for streamed CSV output (optional)")
+	fs.StringVar(&c.jsonl, "jsonl", "", "file for streamed JSON-lines output (optional, sweeps only)")
+	fs.BoolVar(&c.md, "md", false, "render tables as markdown instead of aligned text")
+	fs.Func("policies", "comma-separated policy list, applied uniformly to every experiment that evaluates policies (registered: "+strings.Join(solve.Policies(), ", ")+")", func(s string) error {
+		c.policies = parseList(s)
+		return nil
+	})
+	fs.StringVar(&c.specFile, "spec", "", "JSON sweep spec file to run (see examples/specs/)")
+	fs.StringVar(&src.Source, "source", "", "build a sweep from flags: scenario source name (registered: "+strings.Join(scenario.Sources(), ", ")+")")
+	fs.StringVar(&src.Mesh, "mesh", "", "mesh geometry PxQ for -source sweeps (default 8x8)")
+	fs.StringVar(&src.Topology, "topology", "", "non-mesh platform for -source sweeps, e.g. torus:8x8 or circulant:27:1,3,9 (mutually exclusive with -mesh; needs topology-capable -policies like TABLE)")
+	fs.StringVar(&src.Axis, "axis", "", "sweep axis for -source sweeps: n, weight, length, rate (default: single point)")
+	fs.Func("points", "comma-separated x-values for -axis", func(s string) error {
+		src.Points = nil
+		for _, f := range parseList(s) {
+			x, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				return err
+			}
+			src.Points = append(src.Points, x)
+		}
+		return nil
+	})
+	fs.IntVar(&src.Params.N, "n", 0, "base communication count for -source sweeps (default 30 for the random family)")
+	fs.Float64Var(&src.Params.WMin, "wmin", 0, "minimum weight Mb/s for -source sweeps (default 100 when no -rate)")
+	fs.Float64Var(&src.Params.WMax, "wmax", 0, "maximum weight Mb/s for -source sweeps (default 1500 when no -rate)")
+	fs.Float64Var(&src.Params.Rate, "rate", 0, "fixed per-flow rate Mb/s for the pattern sources")
+	fs.IntVar(&src.Params.Length, "length", 0, "exact Manhattan length for the random family")
+	fs.IntVar(&c.workers, "workers", 0, "persistent sweep workers on the work-stealing scheduler (0 = all cores); output is byte-identical at every worker count")
+	fs.BoolVar(&c.resume, "resume", false, "resume an interrupted sweep from the streamed CSV in -csv (skips completed points)")
+	fs.BoolVar(&c.optgap, "optgap", false, "run the sweep as an optimality-gap report: each policy's mean power ratio against the exact OPT on the same instances (keep meshes and -n small)")
+	fs.IntVar(&c.optStates, "optstates", 0, "per-instance OPT node budget for -optgap (0 = the default; unsolved instances are reported, not fatal)")
+	fs.BoolVar(&c.progress, "progress", false, "report per-point progress on stderr")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile (post-run allocations) to this file")
+	return c
 }
 
 // profiledRun executes the run bracketed by the optional pprof profiles,
 // returning the process exit code — a separate frame so the profile
 // flushing defers also cover the error path (os.Exit skips defers).
-func profiledRun(cpuProf, memProf string, c cfg) int {
-	if cpuProf != "" {
-		f, err := os.Create(cpuProf)
+func profiledRun(c cfg) int {
+	if c.cpuProf != "" {
+		f, err := os.Create(c.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: -cpuprofile:", err)
 			return 1
@@ -103,9 +117,9 @@ func profiledRun(cpuProf, memProf string, c cfg) int {
 			f.Close()
 		}()
 	}
-	if memProf != "" {
+	if c.memProf != "" {
 		defer func() {
-			f, err := os.Create(memProf)
+			f, err := os.Create(c.memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "experiments: -memprofile:", err)
 				return
@@ -133,21 +147,14 @@ type cfg struct {
 	md        bool
 	policies  []string
 	specFile  string
-	source    string
-	mesh      string
-	topology  string
-	axis      string
-	points    string
-	n         int
-	wmin      float64
-	wmax      float64
-	rate      float64
-	length    int
+	source    scenario.Spec // the -source flag family; used when Source is set
 	workers   int
 	resume    bool
 	progress  bool
 	optgap    bool
 	optStates int
+	cpuProf   string
+	memProf   string
 }
 
 // parseList splits a comma-separated flag into a clean list (nil when
@@ -165,9 +172,20 @@ func parseList(s string) []string {
 	return out
 }
 
-// policyFree are the canned experiments that compare fixed routings and
-// genuinely cannot honor a -policies list.
-var policyFree = map[string]bool{"fig2": true, "thm1": true, "lemma2": true, "open1mp": true}
+// policyFree says why a canned experiment cannot honor the -policies
+// list ("" when it can): the fixed comparisons from the paper never take
+// one, and the NoC cross-validation replays exactly one routing.
+func policyFree(id string, policies []string) string {
+	switch {
+	case policies == nil:
+		return ""
+	case id == "fig2" || id == "thm1" || id == "lemma2" || id == "open1mp":
+		return "it compares fixed routings from the paper"
+	case id == "noc" && len(policies) != 1:
+		return fmt.Sprintf("the simulator replays exactly one routing, got %d policies", len(policies))
+	}
+	return ""
+}
 
 func run(c cfg) error {
 	if c.csvDir != "" {
@@ -178,12 +196,9 @@ func run(c cfg) error {
 	if c.resume && c.csvDir == "" {
 		return fmt.Errorf("-resume needs -csv: the streamed CSV is the checkpoint")
 	}
-	if c.optgap && c.resume {
-		return fmt.Errorf("-optgap does not support -resume: gap sweeps are small enough to rerun")
-	}
 
 	// Declarative sweeps: a spec file, or a spec built from flags.
-	if c.specFile != "" || c.source != "" {
+	if c.specFile != "" || c.source.Source != "" {
 		sp, err := c.buildSpec()
 		if err != nil {
 			return err
@@ -195,30 +210,17 @@ func run(c cfg) error {
 	if c.exp == "all" {
 		ids = append([]string{"fig2"}, experiments.FigureIDs()...)
 		ids = append(ids, "summary", "thm1", "lemma2", "open1mp", "patterns", "noc")
-		if c.policies != nil {
-			// -policies applies uniformly to every policy-evaluating
-			// experiment; the fixed comparisons are skipped loudly rather
-			// than silently ignoring the list.
-			kept := ids[:0]
-			for _, id := range ids {
-				if policyFree[id] || (id == "noc" && len(c.policies) != 1) {
-					fmt.Fprintf(os.Stderr, "experiments: note: skipping %s (-policies does not apply: %s)\n",
-						id, policyFreeReason(id, c.policies))
-					continue
-				}
-				kept = append(kept, id)
-			}
-			ids = kept
-		}
 	}
 	for _, id := range ids {
-		if c.policies != nil && c.exp != "all" {
-			if policyFree[id] {
-				return fmt.Errorf("%s: -policies does not apply: %s", id, policyFreeReason(id, c.policies))
+		if why := policyFree(id, c.policies); why != "" {
+			if c.exp != "all" {
+				return fmt.Errorf("%s: -policies does not apply: %s", id, why)
 			}
-			if id == "noc" && len(c.policies) != 1 {
-				return fmt.Errorf("noc: -policies does not apply: %s", policyFreeReason(id, c.policies))
-			}
+			// -policies applies uniformly to every policy-evaluating
+			// experiment; the rest are skipped loudly rather than silently
+			// ignoring the list.
+			fmt.Fprintf(os.Stderr, "experiments: note: skipping %s (-policies does not apply: %s)\n", id, why)
+			continue
 		}
 		if err := c.runOne(id); err != nil {
 			return fmt.Errorf("%s: %w", id, err)
@@ -227,55 +229,32 @@ func run(c cfg) error {
 	return nil
 }
 
-func policyFreeReason(id string, policies []string) string {
-	if id == "noc" {
-		return fmt.Sprintf("the simulator replays exactly one routing, got %d policies", len(policies))
-	}
-	return "it compares fixed routings from the paper"
-}
-
-// buildSpec loads the -spec file or assembles a spec from the -source
-// flag family, then applies the uniform overrides (-trials, -seed,
+// buildSpec loads the -spec file or completes the spec the -source flag
+// family filled in, then applies the uniform overrides (-trials, -seed,
 // -policies).
 func (c cfg) buildSpec() (scenario.Spec, error) {
-	if c.specFile != "" && c.source != "" {
+	if c.specFile != "" && c.source.Source != "" {
 		return scenario.Spec{}, fmt.Errorf("-spec and -source are mutually exclusive")
 	}
-	var sp scenario.Spec
+	sp := c.source
 	if c.specFile != "" {
 		var err error
 		if sp, err = scenario.LoadSpec(c.specFile); err != nil {
 			return scenario.Spec{}, err
 		}
 	} else {
-		sp = scenario.Spec{
-			Source:   c.source,
-			Mesh:     c.mesh,
-			Topology: c.topology,
-			Axis:     c.axis,
-			Params:   scenario.Params{N: c.n, WMin: c.wmin, WMax: c.wmax, Rate: c.rate, Length: c.length},
-		}
 		// Default the weight range only when the user set no weight knob at
 		// all (a lone -wmin/-wmax stays as given and fails loudly in Bind);
 		// default -n only for the random family — every other source has
 		// its own documented default (hotspot: all cores, pipeline: the
 		// whole mesh, trace: a tuned light load).
-		if c.rate == 0 && c.wmin == 0 && c.wmax == 0 {
-			sp.Params.WMin, sp.Params.WMax = 100, 1500
+		if p := &sp.Params; p.Rate == 0 && p.WMin == 0 && p.WMax == 0 {
+			p.WMin, p.WMax = 100, 1500
 		}
-		if sp.Params.N == 0 && strings.EqualFold(c.source, "uniform") {
+		if sp.Params.N == 0 && strings.EqualFold(sp.Source, "uniform") {
 			sp.Params.N = 30
 		}
-		if c.points != "" {
-			for _, f := range parseList(c.points) {
-				x, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return scenario.Spec{}, fmt.Errorf("-points: %w", err)
-				}
-				sp.Points = append(sp.Points, x)
-			}
-		}
-		sp.ID = c.source
+		sp.ID = sp.Source
 		if err := sp.Validate(); err != nil {
 			return scenario.Spec{}, err
 		}
@@ -297,79 +276,55 @@ func (c cfg) overrideSpec(sp scenario.Spec) scenario.Spec {
 
 // runSweep streams one spec through the sink stack selected by the
 // flags: accumulated tables on stdout, plus CSV/JSONL/progress streams.
-// Under -optgap the same spec instead streams the optimality-gap report:
-// every policy against the exact branch-and-bound on the same seeded
-// instances, as a table on stdout and <id>_optgap.csv under -csv.
-// SIGINT/SIGTERM cancel either sweep instead of killing the process
-// mid-write: workers drain and files close with whole rows.
+// The report's layout names its tables: a power sweep writes
+// <id>_power.csv and <id>_failures.csv under -csv; under -optgap the same
+// spec instead streams the optimality-gap report (every policy against
+// the exact branch-and-bound on the same seeded instances) to
+// <id>_optgap.csv. SIGINT/SIGTERM cancel the sweep instead of killing the
+// process mid-write: workers drain and files close with whole records.
 func (c cfg) runSweep(sp scenario.Spec) error {
 	id := sp.ID
 	if id == "" {
 		id = "sweep"
 	}
-	var closers []io.Closer
-	defer func() {
-		for _, cl := range closers {
-			cl.Close()
-		}
-	}()
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	opt := experiments.SweepOptions{Workers: c.workers, Context: ctx}
-
+	layout := experiments.PowerLayout
 	if c.optgap {
-		gts := experiments.NewGapTableSink()
-		sinks := []experiments.GapSink{gts}
-		if c.csvDir != "" {
-			gw, err := openStream(filepath.Join(c.csvDir, sanitize(id+"_optgap")+".csv"), false, -1)
-			if err != nil {
-				return err
-			}
-			closers = append(closers, gw)
-			sinks = append(sinks, experiments.NewGapCSVSink(gw))
+		layout = experiments.GapLayout
+	}
+	var paths []string
+	if c.csvDir != "" {
+		for _, rt := range layout {
+			paths = append(paths, filepath.Join(c.csvDir, sanitize(id+"_"+rt.Name)+".csv"))
 		}
-		if err := experiments.OptGap(sp, opt, c.optStates, sinks...); err != nil {
+	}
+	if c.jsonl != "" {
+		paths = append(paths, c.jsonl)
+	}
+	start, ends := 0, make([]int64, len(paths))
+	if c.resume {
+		var err error
+		if start, ends, err = resumePoint(paths); err != nil {
 			return err
 		}
-		return c.render(gts.Table())
+	}
+	files := make([]*streamFile, len(paths))
+	ws := make([]io.Writer, len(paths))
+	for i, path := range paths {
+		f, err := openStream(path, ends[i])
+		if err != nil {
+			return err
+		}
+		defer f.Close() // error paths; the success path checks Close below
+		files[i], ws[i] = f, f
 	}
 
 	ts := experiments.NewTableSink()
 	sinks := []experiments.Sink{ts}
-	start := 0
 	if c.csvDir != "" {
-		powPath := filepath.Join(c.csvDir, sanitize(id+"_power")+".csv")
-		failPath := filepath.Join(c.csvDir, sanitize(id+"_failures")+".csv")
-		var powEnd, failEnd int64
-		if c.resume {
-			var err error
-			if start, powEnd, failEnd, err = resumePoint(powPath, failPath); err != nil {
-				return err
-			}
-		}
-		// With nothing checkpointed the resume is a fresh start: truncate,
-		// so a header-only file is not appended with a second header. A
-		// real checkpoint is truncated to its last complete row (a kill
-		// mid-flush can leave a torn final line).
-		pw, err := openStream(powPath, start > 0, powEnd)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, pw)
-		fw, err := openStream(failPath, start > 0, failEnd)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, fw)
-		sinks = append(sinks, experiments.NewCSVSink(pw, fw))
+		sinks = append(sinks, experiments.NewCSVSink(ws[:len(layout)]...))
 	}
 	if c.jsonl != "" {
-		jw, err := openStream(c.jsonl, c.resume && start > 0, -1)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, jw)
-		sinks = append(sinks, experiments.NewJSONLSink(jw))
+		sinks = append(sinks, experiments.NewJSONLSink(ws[len(ws)-1]))
 	}
 	if c.progress {
 		sinks = append(sinks, experiments.NewProgressSink(os.Stderr))
@@ -379,8 +334,15 @@ func (c cfg) runSweep(sp scenario.Spec) error {
 	// to disk — the index the resume hint reports is always replayable.
 	pc := &pointCounter{}
 	sinks = append(sinks, pc)
-	opt.Start = start
-	err := experiments.Sweep(sp, opt, sinks...)
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	opt := experiments.SweepOptions{Start: start, Workers: c.workers, Context: ctx}
+	var err error
+	if c.optgap {
+		err = experiments.OptGap(sp, opt, c.optStates, sinks...)
+	} else {
+		err = experiments.Sweep(sp, opt, sinks...)
+	}
 	if errors.Is(err, context.Canceled) {
 		// The interrupted run reports how to pick up where it stopped.
 		fmt.Fprintf(os.Stderr, "experiments: interrupted: %d/%d points checkpointed\n", pc.done, pc.total)
@@ -398,11 +360,17 @@ func (c cfg) runSweep(sp scenario.Spec) error {
 	if err != nil {
 		return err
 	}
-	np, fr := ts.Tables()
-	if err := c.render(np); err != nil {
-		return err
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
-	return c.render(fr)
+	for _, t := range ts.Tables() {
+		if err := c.render(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pointCounter is the sink that tracks the resume checkpoint: how many
@@ -431,27 +399,25 @@ type streamFile struct {
 	w *bufio.Writer
 }
 
-// openStream opens a sink target. appendMode continues a checkpoint:
-// the file is first truncated to checkpointEnd (the end of its last
-// complete row; -1 keeps the current size) and writes append after it.
-// Otherwise the file starts fresh.
-func openStream(path string, appendMode bool, checkpointEnd int64) (*streamFile, error) {
+// openStream opens a sink target. A positive checkpointEnd continues a
+// checkpoint: the file is truncated to that offset (the end of its last
+// kept record) and writes append after it. Otherwise the file starts
+// fresh.
+func openStream(path string, checkpointEnd int64) (*streamFile, error) {
 	flags := os.O_CREATE | os.O_WRONLY
-	if !appendMode {
+	if checkpointEnd <= 0 {
 		flags |= os.O_TRUNC
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if appendMode {
-		if checkpointEnd >= 0 {
-			if err := f.Truncate(checkpointEnd); err != nil {
-				f.Close()
-				return nil, err
-			}
+	if checkpointEnd > 0 {
+		if err := f.Truncate(checkpointEnd); err != nil {
+			f.Close()
+			return nil, err
 		}
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		if _, err := f.Seek(checkpointEnd, io.SeekStart); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -477,70 +443,52 @@ func (s *streamFile) Close() error {
 	return s.f.Close()
 }
 
-// resumePoint derives the resume index from the streamed CSV checkpoint:
-// the number of complete data rows, and the byte offsets the files must
-// be truncated to (a kill mid-flush can leave a torn final line, which
-// does not count as a checkpointed row). The lower of the two files wins
-// when they disagree by the one row an interrupt can tear.
-func resumePoint(powPath, failPath string) (start int, powEnd, failEnd int64, err error) {
-	pn, pEnd, err := countCSVRows(powPath, 0)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("-resume: %w", err)
-	}
-	fn, fEnd, err := countCSVRows(failPath, 0)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("-resume: %w", err)
-	}
-	if pn != fn {
-		// The power file streams before the failures file, so an
-		// interrupt between the two writes leaves it one row ahead;
-		// resume from the shorter file and truncate the longer back.
-		if pn != fn+1 {
-			return 0, 0, 0, fmt.Errorf("-resume: checkpoint mismatch: %d power rows vs %d failure rows", pn, fn)
+// resumePoint derives the resume index from the streamed checkpoint
+// files. Every stream holds one header line (the CSV header, the JSONL
+// meta record) and then one line per completed point; the sinks write a
+// point to each stream in turn, so a kill can leave some streams a point
+// ahead of the others, and a kill mid-flush can tear a final line, which
+// does not count as a record. The sweep resumes at the smallest record
+// count among the streams (a missing file counts 0), and ends holds the
+// byte offset each file is truncated to so it keeps exactly that many
+// records.
+func resumePoint(paths []string) (start int, ends []int64, err error) {
+	lines := make([][]int64, len(paths))
+	start = -1
+	for i, path := range paths {
+		if lines[i], err = lineEnds(path); err != nil {
+			return 0, nil, fmt.Errorf("-resume: %w", err)
 		}
-		if pn, pEnd, err = countCSVRows(powPath, fn); err != nil {
-			return 0, 0, 0, fmt.Errorf("-resume: %w", err)
+		if n := max(len(lines[i])-1, 0); start < 0 || n < start {
+			start = n
 		}
 	}
-	return pn, pEnd, fEnd, nil
+	ends = make([]int64, len(paths))
+	if start > 0 {
+		for i := range paths {
+			ends[i] = lines[i][start]
+		}
+	}
+	return start, ends, nil
 }
 
-// countCSVRows counts the newline-terminated data rows (lines after the
-// header) of a streamed CSV file and returns the byte offset just past
-// the last counted line, stopping early at maxRows when positive. A
-// missing file means nothing is checkpointed.
-func countCSVRows(path string, maxRows int) (rows int, end int64, err error) {
-	f, err := os.Open(path)
+// lineEnds returns the byte offset just past each newline-terminated line
+// of a file (none for a torn final line, nil for a missing file).
+func lineEnds(path string) ([]int64, error) {
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return 0, 0, nil
+		return nil, nil
 	}
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	lines := 0
-	for {
-		line, err := r.ReadString('\n')
-		if err == io.EOF {
-			// A torn final line (no trailing newline) is not a complete
-			// row; it is truncated away on resume.
-			break
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		lines++
-		end += int64(len(line))
-		if maxRows > 0 && lines-1 == maxRows {
-			break
+	var ends []int64
+	for i, b := range data {
+		if b == '\n' {
+			ends = append(ends, int64(i+1))
 		}
 	}
-	rows = lines - 1 // discount the header
-	if rows < 0 {
-		rows = 0
-	}
-	return rows, end, nil
+	return ends, nil
 }
 
 func (c cfg) runOne(id string) error {

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 var specDir = filepath.Join("..", "..", "examples", "specs")
@@ -110,5 +114,102 @@ func TestPoliciesSkipAndRefuse(t *testing.T) {
 		if _, _, err := runCaptured(t, tc.c); err == nil || err.Error() != tc.want {
 			t.Errorf("-exp %s -policies %v: err %v, want %q", tc.c.exp, tc.c.policies, err, tc.want)
 		}
+	}
+}
+
+// The command keeps its 25 flags with their defaults.
+func TestFlagDefaults(t *testing.T) {
+	want := map[string]string{
+		"exp": "all", "trials": "0", "seed": "0", "csv": "", "jsonl": "", "md": "false",
+		"policies": "", "spec": "", "source": "", "mesh": "", "topology": "", "axis": "",
+		"points": "", "n": "0", "wmin": "0", "wmax": "0", "rate": "0", "length": "0",
+		"workers": "0", "resume": "false", "optgap": "false", "optstates": "0",
+		"progress": "false", "cpuprofile": "", "memprofile": "",
+	}
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	bindFlags(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags and defaults:\n%v\nwant:\n%v", got, want)
+	}
+}
+
+// The -source flag family fills the spec a flag-built sweep runs: the
+// smoke spec spelled as flags streams the smoke goldens.
+func TestSourceFlagsBuildTheSpec(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	c := bindFlags(fs)
+	if err := fs.Parse([]string{"-source", "uniform", "-mesh", "8x8", "-axis", "n", "-points", "5, 20,40",
+		"-wmin", "100", "-wmax", "1200", "-trials", "5", "-seed", "7", "-policies", "XY,PR,BEST", "-csv", dir}); err != nil {
+		t.Fatal(err)
+	}
+	wantSrc := scenario.Spec{Source: "uniform", Mesh: "8x8", Axis: "n", Points: []float64{5, 20, 40},
+		Params: scenario.Params{WMin: 100, WMax: 1200}}
+	if !reflect.DeepEqual(c.source, wantSrc) {
+		t.Fatalf("source spec %+v, want %+v", c.source, wantSrc)
+	}
+	if _, _, err := runCaptured(t, *c); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, filepath.Join(dir, "uniform_power.csv"), filepath.Join(specDir, "smoke_power.golden.csv"))
+	sameBytes(t, filepath.Join(dir, "uniform_failures.csv"), filepath.Join(specDir, "smoke_failures.golden.csv"))
+}
+
+// cutLines writes the first n lines of src to dst, plus the first half of
+// line n+1 when torn is set (a kill mid-flush).
+func cutLines(t *testing.T, src, dst string, n int, torn bool) {
+	t.Helper()
+	lines := strings.SplitAfter(readFile(t, src), "\n")
+	out := strings.Join(lines[:n], "")
+	if torn {
+		out += lines[n][:len(lines[n])/2]
+	}
+	if err := os.WriteFile(dst, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// -resume restarts at the smallest record count among the CSVs and the
+// JSONL and truncates every stream to it, torn last lines included: the
+// state a kill leaves between the CSV and the JSONL writes resumes into
+// the uninterrupted run's bytes in all three files.
+func TestResumeTruncatesEveryStream(t *testing.T) {
+	full, cut := t.TempDir(), t.TempDir()
+	spec := filepath.Join(specDir, "smoke.json")
+	if _, _, err := runCaptured(t, cfg{specFile: spec, csvDir: full, jsonl: filepath.Join(full, "smoke.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	cutLines(t, filepath.Join(full, "smoke_power.csv"), filepath.Join(cut, "smoke_power.csv"), 3, true)
+	cutLines(t, filepath.Join(full, "smoke_failures.csv"), filepath.Join(cut, "smoke_failures.csv"), 3, false)
+	cutLines(t, filepath.Join(full, "smoke.jsonl"), filepath.Join(cut, "smoke.jsonl"), 2, true)
+	if _, _, err := runCaptured(t, cfg{specFile: spec, csvDir: cut, jsonl: filepath.Join(cut, "smoke.jsonl"), resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"smoke_power.csv", "smoke_failures.csv", "smoke.jsonl"} {
+		sameBytes(t, filepath.Join(cut, name), filepath.Join(full, name))
+	}
+}
+
+// The gap report streams its points to -jsonl too, and resumes from its
+// checkpoint files like a power sweep.
+func TestOptGapResume(t *testing.T) {
+	full, cut := t.TempDir(), t.TempDir()
+	spec := filepath.Join(specDir, "optgap.json")
+	if _, _, err := runCaptured(t, cfg{specFile: spec, csvDir: full, jsonl: filepath.Join(full, "optgap.jsonl"), optgap: true}); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, filepath.Join(full, "optgap_optgap.csv"), filepath.Join(specDir, "optgap_optgap.golden.csv"))
+	if jl := readFile(t, filepath.Join(full, "optgap.jsonl")); strings.Count(jl, `"mean_gap":`) != 2 || strings.Count(jl, `"opt_solved":10`) != 2 {
+		t.Errorf("gap JSONL lacks its two gap points:\n%s", jl)
+	}
+	cutLines(t, filepath.Join(full, "optgap_optgap.csv"), filepath.Join(cut, "optgap_optgap.csv"), 2, false)
+	cutLines(t, filepath.Join(full, "optgap.jsonl"), filepath.Join(cut, "optgap.jsonl"), 2, true)
+	if _, _, err := runCaptured(t, cfg{specFile: spec, csvDir: cut, jsonl: filepath.Join(cut, "optgap.jsonl"), optgap: true, resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"optgap_optgap.csv", "optgap.jsonl"} {
+		sameBytes(t, filepath.Join(cut, name), filepath.Join(full, name))
 	}
 }

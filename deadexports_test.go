@@ -1,7 +1,7 @@
 // The dead-export guard: every exported function or method declared in
 // internal/ or cmd/ must be referenced from some non-test file of the
-// repository (perfbench/ included), unless it is a test oracle listed in
-// keptOracles. Test-only API is either scaffolding that should go or a
+// repository (perfbench/ included), unless it is a test oracle or kept
+// API listed in keptOracles. Test-only API is either scaffolding that should go or a
 // reference implementation that should say so.
 package repro_test
 
@@ -9,8 +9,11 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -35,123 +38,132 @@ var keptOracles = map[string]string{
 	"repro/internal/stats.Mean":                        "the summed mean the running Accumulator is checked against",
 	"repro/internal/theory.Lemma2ClosedForms":          "the closed forms the Lemma 2 numeric optimum is checked against",
 	"repro/internal/heur.TwoBendPaths":                 "the fuzzed two-bend path enumeration the TB and XYI tests check candidates against",
+	"repro/internal/route.Routing.Clone":               "the documented way to keep a routing past the reuse of the workspace that produced it",
+	"repro/internal/power.Model.LinkPowerOK":           "the reference TestEvaluatorMatchesModel pins the compiled Evaluator.LinkPowerOK to",
 }
 
 // deadExports returns the exported functions and methods declared in
 // non-test files under root/internal and root/cmd that no non-test file
 // under root references, minus the keys of allow. It also reports every
 // allow key that names no such dead declaration, so the list cannot go
-// stale. References are resolved by name: a package-level function
-// counts as used when its package spells it bare or another file
-// selects it through an import of that package; a method counts as
-// used when any selector names it.
+// stale. References are resolved by type: every package of the module
+// (and of modules nested in it under the same path prefix) is
+// type-checked with go/types, and a declaration counts as used when an
+// identifier in a non-test file resolves to it. A method also counts as
+// used when its type satisfies a named interface with a method of that
+// name, declared in a scanned package or in a standard library package
+// one imports: such a method can be called through the interface, by
+// the standard library (String, Error, Write) as much as by the module.
 func deadExports(root string, allow map[string]string) (dead, stale []string, err error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, nil, err
 	}
-	type decl struct {
-		key, pkg, name string
-		method         bool
-		pos            string
-	}
-	var decls []decl
-	funcRefs := map[string]bool{}   // "importpath.Name"
-	methodRefs := map[string]bool{} // "Name"
-	fset := token.NewFileSet()
+	l := &loader{root: root, module: module, fset: token.NewFileSet(), pkgs: map[string]*checked{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	var paths []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		pkg := module
+		ip := module
 		if rel != "." {
-			pkg = module + "/" + filepath.ToSlash(rel)
+			ip = module + "/" + filepath.ToSlash(rel)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		if len(paths) == 0 || paths[len(paths)-1] != ip {
+			paths = append(paths, ip)
 		}
-		imports := map[string]string{} // local name -> import path
-		for _, im := range f.Imports {
-			ip := strings.Trim(im.Path.Value, `"`)
-			name := ip[strings.LastIndex(ip, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = ip
-		}
-		declared := map[*ast.Ident]bool{}
-		lib := strings.HasPrefix(pkg, module+"/internal/") || strings.HasPrefix(pkg, module+"/cmd/")
-		for _, dl := range f.Decls {
-			fd, ok := dl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !lib || !fd.Name.IsExported() {
-				continue
-			}
-			d := decl{key: pkg + "." + fd.Name.Name, pkg: pkg, name: fd.Name.Name,
-				pos: fset.Position(fd.Pos()).String()}
-			if fd.Recv != nil {
-				d.method = true
-				d.key = pkg + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			decls = append(decls, d)
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					if ip, ok := imports[id.Name]; ok {
-						funcRefs[ip+"."+x.Sel.Name] = true
-						return false
-					}
-				}
-				methodRefs[x.Sel.Name] = true
-				ast.Inspect(x.X, visit) // x.Sel is not a bare reference
-				return false
-			case *ast.Ident:
-				if !declared[x] {
-					funcRefs[pkg+"."+x.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, ip := range paths {
+		if _, err := l.load(ip); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	used := map[*types.Func]bool{}
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	addIfaces := func(pkg *types.Package) {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	for _, c := range l.pkgs {
+		addIfaces(c.pkg)
+		for _, im := range c.pkg.Imports() {
+			if _, ours := l.pkgs[im.Path()]; !ours {
+				addIfaces(im)
+			}
+		}
+		for _, obj := range c.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+	}
+	viaInterface := func(fn *types.Func) bool {
+		named, ok := fn.Type().(*types.Signature).Recv().Type().(*types.Named)
+		if p, isPtr := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer); isPtr {
+			named, ok = p.Elem().(*types.Named)
+		}
+		if !ok || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() &&
+					(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	found := map[string]bool{}
-	for _, d := range decls {
-		used := funcRefs[d.pkg+"."+d.name]
-		if d.method {
-			used = methodRefs[d.name]
-		}
-		if used {
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, module+"/internal/") && !strings.HasPrefix(ip, module+"/cmd/") {
 			continue
 		}
-		if _, ok := allow[d.key]; ok {
-			found[d.key] = true
-			continue
+		c := l.pkgs[ip]
+		for _, f := range c.files {
+			for _, dl := range f.Decls {
+				fd, ok := dl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := c.info.Defs[fd.Name].(*types.Func)
+				key := ip + "." + fd.Name.Name
+				if fd.Recv != nil {
+					key = ip + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				if used[fn] || (fd.Recv != nil && viaInterface(fn)) {
+					continue
+				}
+				if _, ok := allow[key]; ok {
+					found[key] = true
+					continue
+				}
+				dead = append(dead, key+" ("+l.fset.Position(fd.Pos()).String()+")")
+			}
 		}
-		dead = append(dead, d.key+" ("+d.pos+")")
 	}
 	for k := range allow {
 		if !found[k] {
@@ -161,6 +173,73 @@ func deadExports(root string, allow map[string]string) (dead, stale []string, er
 	sort.Strings(dead)
 	sort.Strings(stale)
 	return dead, stale, nil
+}
+
+// checked is one type-checked package of the scan.
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loader type-checks the module's packages from source on demand,
+// serving standard library imports from std.
+type loader struct {
+	root, module string
+	fset         *token.FileSet
+	std          types.Importer
+	pkgs         map[string]*checked
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if path != l.module && !strings.HasPrefix(path, l.module+"/") {
+		return l.std.Import(path)
+	}
+	c, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return c.pkg, nil
+}
+
+// load type-checks the package at import path ip from the non-test files
+// of its directory that the default build context selects.
+func (l *loader) load(ip string) (*checked, error) {
+	if c, ok := l.pkgs[ip]; ok {
+		return c, nil
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(ip, l.module), "/")))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: l}).Check(ip, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", ip, err)
+	}
+	c := &checked{pkg: pkg, files: files, info: info}
+	l.pkgs[ip] = c
+	return c, nil
 }
 
 // recvType names a method receiver's base type: T for T, *T, T[P] or *T[P].
@@ -207,8 +286,10 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // The guard must flag an export that only a test calls, accept one that
-// live code calls (bare in its package, through an import, or as a
-// method), honor the allow-list, and report a stale allow entry.
+// live code calls (bare in its package, through an import, as a method,
+// or through an interface of the module or the standard library),
+// resolve methods by type rather than by name, honor the allow-list, and
+// report a stale allow entry.
 func TestDeadExportsFlagsSyntheticExport(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -223,21 +304,28 @@ func TestDeadExportsFlagsSyntheticExport(t *testing.T) {
 	write("go.mod", "module fake\n\ngo 1.24\n")
 	write("internal/lib/lib.go", `package lib
 
-type T struct{}
+import "fmt"
 
-func (T) Used() int     { return helper() }
-func (T) TestOnly() int { return 0 }
-func Called() T         { return T{} }
-func helper() int       { return Bare() }
-func Bare() int         { return 1 }
-func Unreferenced()     {}
-func Oracle()           {}
+type T struct{}
+type U struct{}
+type I interface{ M() }
+
+func (T) Used() int      { return helper() }
+func (T) TestOnly() int  { return 0 }
+func (T) M()             {}
+func (U) Used() int      { return 0 }
+func (U) String() string { return "u" }
+func Called() T          { return T{} }
+func helper() int        { var i I = T{}; i.M(); return len(fmt.Sprint(U{})) + Bare() }
+func Bare() int          { return 1 }
+func Unreferenced()      {}
+func Oracle()            {}
 `)
 	write("internal/lib/lib_test.go", `package lib
 
 import "testing"
 
-func TestLib(t *testing.T) { Unreferenced(); Oracle(); T{}.TestOnly() }
+func TestLib(t *testing.T) { Unreferenced(); Oracle(); T{}.TestOnly(); U{}.Used() }
 `)
 	write("cmd/tool/main.go", `package main
 
@@ -254,7 +342,7 @@ func main() { _ = lib.Called().Used() }
 	for _, d := range dead {
 		names = append(names, strings.Fields(d)[0])
 	}
-	if got, want := strings.Join(names, ","), "fake/internal/lib.T.TestOnly,fake/internal/lib.Unreferenced"; got != want {
+	if got, want := strings.Join(names, ","), "fake/internal/lib.T.TestOnly,fake/internal/lib.U.Used,fake/internal/lib.Unreferenced"; got != want {
 		t.Errorf("dead = %s, want %s", got, want)
 	}
 	if got, want := strings.Join(stale, ","), "fake/internal/lib.Gone"; got != want {

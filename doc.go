@@ -101,10 +101,13 @@
 // Spec point by point through pluggable sinks over the pooled engine, as
 // a power sweep (experiments.Sweep) or an optimality-gap report
 // (experiments.OptGap), and experiments.Check — that loop's first step —
-// is what routed's /sweep admits specs through. The paper's figure panels
-// are canned Specs, pinned byte-identical to the historical output by
-// golden tests, and interrupted sweeps resume from their streamed CSV
-// checkpoint.
+// is what routed's /sweep admits specs through. Both reports stream the
+// same record (experiments.PointResult) into one sink family: a report's
+// layout (experiments.PowerLayout, experiments.GapLayout) lists its output
+// tables, and the one CSV writer and the one table writer write whatever
+// layout the sweep hands them. The paper's figure panels are canned
+// Specs, pinned byte-identical to the historical output by golden tests,
+// and interrupted sweeps resume from their streamed checkpoint files.
 //
 // Sweep execution is parallel by construction: a work-stealing scheduler
 // cuts the (point, trial) space into chunks on per-worker deques, and

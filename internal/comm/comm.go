@@ -35,11 +35,6 @@ func (c Comm) Length() int { return mesh.Manhattan(c.Src, c.Dst) }
 // Direction returns the quadrant d_i of the communication (Section 3.3).
 func (c Comm) Direction() mesh.Quadrant { return mesh.DirectionOf(c.Src, c.Dst) }
 
-// Validate checks that the communication is well formed on the mesh.
-func (c Comm) Validate(m *mesh.Mesh) error {
-	return c.ValidateOn(m)
-}
-
 // Platform is the minimal core-set view validation needs — satisfied by
 // *mesh.Mesh and every topo.Topology, without this package depending on
 // either topology machinery or a concrete platform type.
@@ -122,13 +117,6 @@ func (s Set) TotalVolume() float64 {
 		total += c.Rate * float64(c.Length())
 	}
 	return total
-}
-
-// Clone returns a deep copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
 }
 
 // Order is a processing order for greedy heuristics.

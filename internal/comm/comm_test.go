@@ -13,7 +13,7 @@ func grid() *mesh.Mesh { return mesh.MustNew(8, 8) }
 func TestValidate(t *testing.T) {
 	m := grid()
 	good := Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 100}
-	if err := good.Validate(m); err != nil {
+	if err := good.ValidateOn(m); err != nil {
 		t.Fatalf("valid comm rejected: %v", err)
 	}
 	bad := []Comm{
@@ -24,7 +24,7 @@ func TestValidate(t *testing.T) {
 		{ID: 6, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 1}, Rate: 1},
 	}
 	for _, c := range bad {
-		if err := c.Validate(m); err == nil {
+		if err := c.ValidateOn(m); err == nil {
 			t.Errorf("invalid comm %v accepted", c)
 		}
 	}

@@ -69,7 +69,7 @@ func TestOptGapAlreadyCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var trials atomic.Int64
-	gr := &gapRecorder{}
+	gr := &recordSink{}
 	err := OptGap(gapSpec(), SweepOptions{Context: ctx, TrialStart: func(_, _ int) {
 		trials.Add(1)
 	}}, 0, gr)

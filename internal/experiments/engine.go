@@ -66,39 +66,36 @@ type engine struct {
 // request admission; a param/platform mismatch (a bit pattern on a 6x6
 // mesh) surfaces when the sweep starts.
 func Check(sp scenario.Spec) error {
-	_, _, err := resolve(sp)
+	_, err := resolve(sp)
 	return err
 }
 
-// resolve is Check returning what it resolved: the policies' solvers and
-// the non-mesh platform (nil on mesh specs).
-func resolve(sp scenario.Spec) ([]solve.Solver, topo.Topology, error) {
+// resolve is Check returning what it resolved: an engine holding the
+// policies' solvers and canonical names and the non-mesh platform (nil on
+// mesh specs).
+func resolve(sp scenario.Spec) (*engine, error) {
 	if err := sp.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	names := sp.Policies
 	if len(names) == 0 {
 		names = HeuristicNames
 	}
-	solvers := make([]solve.Solver, len(names))
-	for i, n := range names {
-		s, err := solve.Lookup(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		solvers[i] = s
-	}
-	if sp.Topology == "" {
-		return solvers, nil, nil
-	}
-	tp, err := topo.Parse(sp.Topology)
+	solvers, canon, err := lookup(names)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := solve.CheckTopology(names, tp); err != nil {
-		return nil, nil, err
+	e := &engine{solvers: solvers, names: canon}
+	if sp.Topology == "" {
+		return e, nil
 	}
-	return solvers, tp, nil
+	if e.tp, err = topo.Parse(sp.Topology); err != nil {
+		return nil, err
+	}
+	if err := solve.CheckTopology(names, e.tp); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // newEngine builds the engine of a spec whose captions and trial count
@@ -107,23 +104,18 @@ func resolve(sp scenario.Spec) ([]solve.Solver, topo.Topology, error) {
 // before the first trial (e.g. a bit-defined permutation on a 6x6 mesh)
 // instead of mid-run on a worker.
 func newEngine(sp scenario.Spec, meta SweepMeta) (*engine, error) {
-	solvers, tp, err := resolve(sp)
+	e, err := resolve(sp)
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
-		tp:      tp,
-		model:   power.KimHorowitz(),
-		solvers: solvers,
-		names:   make([]string, len(solvers)),
-		trials:  meta.Trials,
-		bestIdx: -1,
-	}
+	e.model = power.KimHorowitz()
+	e.trials = meta.Trials
+	e.bestIdx = -1
 	if sp.Power == "continuous" {
 		e.model = power.KimHorowitzContinuous()
 	}
-	if tp != nil {
-		e.m = tp.Carrier()
+	if e.tp != nil {
+		e.m = e.tp.Carrier()
 	} else {
 		p, q, _ := sp.MeshDims() // Validate parsed it
 		e.m = mesh.MustNew(p, q)
@@ -139,10 +131,9 @@ func newEngine(sp scenario.Spec, meta SweepMeta) (*engine, error) {
 		}
 		e.points = append(e.points, w)
 	}
-	byName := make(map[string]int, len(solvers))
-	for i, s := range solvers {
-		e.names[i] = s.Name() // canonical casing for the series
-		byName[e.names[i]] = i
+	byName := make(map[string]int, len(e.names))
+	for i, n := range e.names {
+		byName[n] = i
 	}
 	if bi, ok := byName["BEST"]; ok {
 		from := make([]int, 0, len(ConstructiveNames))

@@ -219,7 +219,8 @@ func TestResultTablesRender(t *testing.T) {
 	if err := Sweep(sp, SweepOptions{}, ts); err != nil {
 		t.Fatal(err)
 	}
-	np, fr := ts.Tables()
+	tabs := ts.Tables()
+	np, fr := tabs[0], tabs[1]
 	if len(np.Rows) != 2 || len(fr.Rows) != 2 {
 		t.Fatalf("table rows: %d, %d", len(np.Rows), len(fr.Rows))
 	}

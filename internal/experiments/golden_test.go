@@ -48,8 +48,8 @@ func TestGoldenFigureSweeps(t *testing.T) {
 				if err := Sweep(sp, SweepOptions{Workers: workers}, ts, NewCSVSink(&pow, &fail)); err != nil {
 					t.Fatal(err)
 				}
-				np, fr := ts.Tables()
-				golden(t, id+"_tables.txt", []byte(np.String()+"\n"+fr.String()))
+				tabs := ts.Tables()
+				golden(t, id+"_tables.txt", []byte(tabs[0].String()+"\n"+tabs[1].String()))
 				golden(t, id+"_power.csv", pow.Bytes())
 				golden(t, id+"_failures.csv", fail.Bytes())
 			}
@@ -70,7 +70,8 @@ func TestStreamedCSVMatchesTableCSV(t *testing.T) {
 	if err := Sweep(sp, SweepOptions{}, ts, NewCSVSink(&pow, &fail)); err != nil {
 		t.Fatal(err)
 	}
-	np, fr := ts.Tables()
+	tabs := ts.Tables()
+	np, fr := tabs[0], tabs[1]
 	var npCSV, frCSV bytes.Buffer
 	if err := np.WriteCSV(&npCSV); err != nil {
 		t.Fatal(err)
@@ -167,15 +168,15 @@ func TestGoldenOptGapSpec(t *testing.T) {
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		var got bytes.Buffer
-		ts := NewGapTableSink()
-		if err := OptGap(sp, SweepOptions{Workers: workers}, 0, NewGapCSVSink(&got), ts); err != nil {
+		ts := NewTableSink()
+		if err := OptGap(sp, SweepOptions{Workers: workers}, 0, NewCSVSink(&got), ts); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), wantCSV) {
 			t.Errorf("workers=%d: gap CSV diverged from the checked-in golden\n--- got ---\n%s--- want ---\n%s",
 				workers, got.Bytes(), wantCSV)
 		}
-		if table := ts.Table().String() + "\n"; table != string(wantTable) {
+		if table := ts.Tables()[0].String() + "\n"; table != string(wantTable) {
 			t.Errorf("workers=%d: gap table diverged from the checked-in golden\n--- got ---\n%s--- want ---\n%s",
 				workers, table, wantTable)
 		}

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/scenario"
-	"repro/internal/tables"
 )
 
 // DefaultGapMaxStates is the per-instance search-node budget of a gap
@@ -16,33 +15,36 @@ import (
 // of stalling the sweep.
 const DefaultGapMaxStates = 2_000_000
 
-// GapPoint is one fully evaluated gap point. MeanGap[i] is the mean of
-// P_heuristic/P_opt over the point's matched trials — those where both
-// the heuristic and OPT produced a feasible routing — so 1.000 means the
-// heuristic found the optimum every time and 1.050 means it paid 5% more
-// power on average. Matched[i] counts those trials (MeanGap[i] is 0 when
-// none matched); OptSolved counts the trials OPT closed within budget.
-// For single-path heuristics every gap is ≥ 1 by construction; multi-path
+// GapLayout is the gap report's layout: one table with a column per
+// heuristic holding MeanGap[i], the mean of P_heuristic/P_opt over the
+// point's matched trials — those where both the heuristic and OPT
+// produced a feasible routing — so 1.000 means the heuristic found the
+// optimum every time and 1.050 means it paid 5% more power on average. A
+// column no trial matched (Matched[i] == 0) is empty in CSV and "-" in
+// text rather than a misleading 0. The tail column counts the trials OPT
+// closed within budget: OptSolved in CSV, OptSolved/Trials in text. For
+// single-path heuristics every gap is ≥ 1 by construction; multi-path
 // policies may dip below 1, since OPT optimizes over single-path routings
 // only.
-type GapPoint struct {
-	Index     int
-	X         float64
-	MeanGap   []float64
-	Matched   []int
-	OptSolved int
-	Trials    int
-}
-
-// GapSink consumes a gap sweep incrementally, one evaluated point at a
-// time in point order — the same streaming contract as Sink. The meta's
-// Policies lists the heuristic columns only (OPT is the denominator of
-// every column, not a column) and MaxStates carries the OPT node budget.
-type GapSink interface {
-	Begin(meta SweepMeta) error
-	Point(gp GapPoint) error
-	End() error
-}
+var GapLayout = Layout{{Name: "optgap", caption: "mean power / OPT power",
+	tailCSV: "opt_solved", tailText: "OPT solved",
+	cells: func(pr PointResult, text bool) []string {
+		cells := make([]string, 0, len(pr.MeanGap)+1)
+		for i, g := range pr.MeanGap {
+			switch {
+			case pr.Matched[i] > 0:
+				cells = append(cells, fmt.Sprintf("%.*f", gapPrec, g))
+			case text:
+				cells = append(cells, "-")
+			default:
+				cells = append(cells, "")
+			}
+		}
+		if text {
+			return append(cells, fmt.Sprintf("%d/%d", pr.OptSolved, pr.Trials))
+		}
+		return append(cells, strconv.Itoa(pr.OptSolved))
+	}}}
 
 // gapPrec is the cell precision of gap tables: gaps cluster near 1, so
 // they carry one digit more than the figure tables.
@@ -60,8 +62,10 @@ const gapPrec = 4
 // seeds are the power sweep's (seed, point, trial) derivation, so the
 // instances under the gap report are exactly the instances of the
 // corresponding power sweep, and the output is byte-identical at every
-// worker count.
-func OptGap(sp scenario.Spec, opt SweepOptions, maxStates int, sinks ...GapSink) error {
+// worker count. The sinks see GapLayout, and the meta's Policies lists
+// the heuristic columns only (OPT is the denominator of every column,
+// not a column).
+func OptGap(sp scenario.Spec, opt SweepOptions, maxStates int, sinks ...Sink) error {
 	names := sp.Policies
 	if len(names) == 0 {
 		names = HeuristicNames
@@ -83,7 +87,7 @@ func OptGap(sp scenario.Spec, opt SweepOptions, maxStates int, sinks ...GapSink)
 		e.opts.ExactWorkers = 1
 		e.opts.ExactMaxStates = maxStates
 		meta.Policies = meta.Policies[:len(meta.Policies)-1]
-		meta.MaxStates = maxStates
+		meta.Layout = GapLayout
 	}, reduceGapPoint)
 }
 
@@ -93,9 +97,9 @@ func OptGap(sp scenario.Spec, opt SweepOptions, maxStates int, sinks ...GapSink)
 // feasible on the instance — OPT infeasibility proofs and budget truncations both
 // surface as infeasible outcomes and are excluded rather than skewing the
 // ratio.
-func reduceGapPoint(pi int, x float64, npol int, rows []instanceOutcome) GapPoint {
+func reduceGapPoint(pi int, x float64, npol int, rows []instanceOutcome) PointResult {
 	nheur := npol - 1
-	gp := GapPoint{
+	gp := PointResult{
 		Index:   pi,
 		X:       x,
 		MeanGap: make([]float64, nheur),
@@ -123,87 +127,3 @@ func reduceGapPoint(pi int, x float64, npol int, rows []instanceOutcome) GapPoin
 	}
 	return gp
 }
-
-// gapCell formats one heuristic's gap cell; unmatched columns are empty
-// rather than a misleading 0.
-func gapCell(gp GapPoint, si int) string {
-	if gp.Matched[si] == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%.*f", gapPrec, gp.MeanGap[si])
-}
-
-// GapCSVSink streams the gap report as CSV: one row per point, one column
-// per heuristic (mean P/P_opt, empty when no trial matched), and a final
-// opt_solved column counting the trials OPT closed.
-type GapCSVSink struct {
-	W io.Writer
-}
-
-// NewGapCSVSink returns a CSV gap sink over w.
-func NewGapCSVSink(w io.Writer) *GapCSVSink { return &GapCSVSink{W: w} }
-
-// Begin implements GapSink. Like CSVSink, it writes no header on resume.
-func (s *GapCSVSink) Begin(meta SweepMeta) error {
-	if meta.Start > 0 {
-		return nil
-	}
-	header := append([]string{meta.XLabel}, meta.Policies...)
-	header = append(header, "opt_solved")
-	_, err := io.WriteString(s.W, tables.CSVLine(header))
-	return err
-}
-
-// Point implements GapSink.
-func (s *GapCSVSink) Point(gp GapPoint) error {
-	cells := make([]string, 0, len(gp.MeanGap)+2)
-	cells = append(cells, xLabel(gp.X))
-	for si := range gp.MeanGap {
-		cells = append(cells, gapCell(gp, si))
-	}
-	cells = append(cells, fmt.Sprintf("%d", gp.OptSolved))
-	_, err := io.WriteString(s.W, tables.CSVLine(cells))
-	return err
-}
-
-// End implements GapSink.
-func (s *GapCSVSink) End() error { return nil }
-
-// GapTableSink accumulates the gap report into one aligned text table for
-// terminal rendering after the sweep completes.
-type GapTableSink struct {
-	table *tables.Table
-}
-
-// NewGapTableSink returns an accumulating gap table sink.
-func NewGapTableSink() *GapTableSink { return &GapTableSink{} }
-
-// Begin implements GapSink.
-func (s *GapTableSink) Begin(meta SweepMeta) error {
-	headers := append([]string{meta.XLabel}, meta.Policies...)
-	headers = append(headers, "OPT solved")
-	s.table = tables.New(meta.Title+" — mean power / OPT power", headers...)
-	return nil
-}
-
-// Point implements GapSink.
-func (s *GapTableSink) Point(gp GapPoint) error {
-	cells := make([]string, 0, len(gp.MeanGap)+2)
-	cells = append(cells, xLabel(gp.X))
-	for si := range gp.MeanGap {
-		if c := gapCell(gp, si); c != "" {
-			cells = append(cells, c)
-		} else {
-			cells = append(cells, "-")
-		}
-	}
-	cells = append(cells, fmt.Sprintf("%d/%d", gp.OptSolved, gp.Trials))
-	s.table.AddRow(cells...)
-	return nil
-}
-
-// End implements GapSink.
-func (s *GapTableSink) End() error { return nil }
-
-// Table returns the accumulated table (nil before Begin).
-func (s *GapTableSink) Table() *tables.Table { return s.table }

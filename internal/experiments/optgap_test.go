@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,25 +21,14 @@ func gapSpec() scenario.Spec {
 	}
 }
 
-// gapRecorder collects a gap stream in memory.
-type gapRecorder struct {
-	meta   SweepMeta
-	points []GapPoint
-	ended  bool
-}
-
-func (s *gapRecorder) Begin(meta SweepMeta) error { s.meta = meta; return nil }
-func (s *gapRecorder) Point(gp GapPoint) error    { s.points = append(s.points, gp); return nil }
-func (s *gapRecorder) End() error                 { s.ended = true; return nil }
-
 // runGaps streams a spec's gap report on all cores into a recorder.
-func runGaps(t *testing.T, sp scenario.Spec, maxStates int) *gapRecorder {
+func runGaps(t *testing.T, sp scenario.Spec, maxStates int) *recordSink {
 	t.Helper()
-	gr := &gapRecorder{}
-	if err := OptGap(sp, SweepOptions{}, maxStates, gr); err != nil {
+	rs := &recordSink{}
+	if err := OptGap(sp, SweepOptions{}, maxStates, rs); err != nil {
 		t.Fatal(err)
 	}
-	return gr
+	return rs
 }
 
 // Every matched single-path heuristic gap is >= 1: OPT is optimal over
@@ -47,9 +38,6 @@ func TestGapsAtLeastOne(t *testing.T) {
 	res := runGaps(t, gapSpec(), 0)
 	if len(res.points) != 2 || !res.ended {
 		t.Fatalf("expected 2 points and End, got %d (ended=%v)", len(res.points), res.ended)
-	}
-	if res.meta.MaxStates != DefaultGapMaxStates {
-		t.Fatalf("default MaxStates not applied: %d", res.meta.MaxStates)
 	}
 	anyMatched := false
 	for _, gp := range res.points {
@@ -122,11 +110,11 @@ func TestGapDeterministicAcrossWorkers(t *testing.T) {
 	var outs []string
 	for _, workers := range []int{1, 3} {
 		var csv strings.Builder
-		ts := NewGapTableSink()
-		if err := OptGap(gapSpec(), SweepOptions{Workers: workers}, 0, NewGapCSVSink(&csv), ts); err != nil {
+		ts := NewTableSink()
+		if err := OptGap(gapSpec(), SweepOptions{Workers: workers}, 0, NewCSVSink(&csv), ts); err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, csv.String()+"\n----\n"+ts.Table().String())
+		outs = append(outs, csv.String()+"\n----\n"+ts.Tables()[0].String())
 	}
 	if outs[0] != outs[1] {
 		t.Fatalf("gap output differs between 1 and 3 workers:\n%s\nvs\n%s", outs[0], outs[1])
@@ -134,7 +122,7 @@ func TestGapDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // A starved budget surfaces as unsolved trials, not an error or a wrong
-// ratio: with MaxStates=1 OPT closes nothing.
+// ratio: with a 1-state budget OPT closes nothing.
 func TestGapBudgetTruncation(t *testing.T) {
 	res := runGaps(t, gapSpec(), 1)
 	for _, gp := range res.points {
@@ -146,5 +134,24 @@ func TestGapBudgetTruncation(t *testing.T) {
 				t.Fatalf("point x=%g: matched=%d gap=%g with OPT unsolved", gp.X, m, gp.MeanGap[si])
 			}
 		}
+	}
+}
+
+// A budget of 0 is the default budget, not an empty one: on the
+// checked-in gap spec OPT closes every trial, and the report equals the
+// one run with DefaultGapMaxStates spelled out.
+func TestGapZeroBudgetIsDefault(t *testing.T) {
+	sp, err := scenario.LoadSpec(filepath.Join("..", "..", "examples", "specs", "optgap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runGaps(t, sp, 0)
+	for _, gp := range res.points {
+		if gp.OptSolved != gp.Trials || gp.Trials != sp.Trials {
+			t.Fatalf("point x=%g: OPT solved %d of %d trials (spec: %d)", gp.X, gp.OptSolved, gp.Trials, sp.Trials)
+		}
+	}
+	if def := runGaps(t, sp, DefaultGapMaxStates); !reflect.DeepEqual(res.points, def.points) {
+		t.Fatalf("budget 0 and DefaultGapMaxStates differ:\n%+v\n%+v", res.points, def.points)
 	}
 }

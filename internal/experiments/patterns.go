@@ -38,18 +38,11 @@ type PatternRow struct {
 // experiment extends the paper's random workloads with the structured
 // traffic the NoC literature evaluates on.
 func RunPatterns(rate float64, policies []string) ([]PatternRow, error) {
-	policies = dropBest(policies)
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
-	names := make([]string, 0, len(policies)+1)
-	solvers := make([]solve.Solver, 0, len(policies))
-	for _, name := range policies {
-		s, err := solve.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		solvers = append(solvers, s)
-		names = append(names, s.Name())
+	solvers, names, err := lookup(dropBest(policies))
+	if err != nil {
+		return nil, err
 	}
 	names = append(names, "BEST")
 	var rows []PatternRow

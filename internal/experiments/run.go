@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
+	"repro/internal/solve"
 	"repro/internal/stats"
 )
 
@@ -40,6 +41,21 @@ func dropBest(policies []string) []string {
 		return ConstructiveNames
 	}
 	return out
+}
+
+// lookup resolves policy names against the solve registry: the solvers
+// and their canonical names, in list order.
+func lookup(policies []string) ([]solve.Solver, []string, error) {
+	solvers := make([]solve.Solver, len(policies))
+	names := make([]string, len(policies), len(policies)+1)
+	for i, p := range policies {
+		s, err := solve.Lookup(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		solvers[i], names[i] = s, s.Name()
+	}
+	return solvers, names, nil
 }
 
 // SweepOptions tunes a streaming sweep.
@@ -80,14 +96,6 @@ func Sweep(sp scenario.Spec, opt SweepOptions, sinks ...Sink) error {
 	return stream(sp, opt, sinks, nil, reducePoint)
 }
 
-// pointSink is the streaming contract Sink and GapSink share over their
-// point record type.
-type pointSink[P any] interface {
-	Begin(meta SweepMeta) error
-	Point(p P) error
-	End() error
-}
-
 // stream is the one sweep loop behind Sweep and OptGap: it resolves the
 // spec's captions and trial count into the meta, builds the engine,
 // announces the meta to the sinks, runs the (point, trial) space on the
@@ -95,9 +103,9 @@ type pointSink[P any] interface {
 // point order, and ends the sinks — or returns the context's error when
 // the sweep was cancelled, with End never called. tune, when non-nil,
 // adjusts the engine and its meta before the first Begin.
-func stream[P any, S pointSink[P]](sp scenario.Spec, opt SweepOptions, sinks []S,
+func stream(sp scenario.Spec, opt SweepOptions, sinks []Sink,
 	tune func(e *engine, meta *SweepMeta),
-	reduce func(pi int, x float64, npol int, rows []instanceOutcome) P) error {
+	reduce func(pi int, x float64, npol int, rows []instanceOutcome) PointResult) error {
 	meta := SweepMeta{
 		ID:     sp.ID,
 		Title:  sp.Title,
@@ -105,6 +113,7 @@ func stream[P any, S pointSink[P]](sp scenario.Spec, opt SweepOptions, sinks []S
 		X:      sp.XValues(),
 		Trials: sp.Trials,
 		Start:  opt.Start,
+		Layout: PowerLayout,
 	}
 	if meta.ID == "" {
 		meta.ID = "sweep"
@@ -192,6 +201,7 @@ func reducePoint(pi int, x float64, npol int, rows []instanceOutcome) PointResul
 	pr := PointResult{
 		Index:        pi,
 		X:            x,
+		Trials:       len(rows) / npol,
 		NormPowerInv: make([]float64, npol),
 		FailureRatio: make([]float64, npol),
 	}

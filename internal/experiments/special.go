@@ -98,18 +98,11 @@ func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, err
 	if trialsPerPoint <= 0 {
 		trialsPerPoint = 10
 	}
-	policies = dropBest(policies)
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
-	names := make([]string, 0, len(policies)+1)
-	solvers := make([]solve.Solver, 0, len(policies))
-	for _, name := range policies {
-		s, err := solve.Lookup(name)
-		if err != nil {
-			return Summary{}, err
-		}
-		solvers = append(solvers, s)
-		names = append(names, s.Name())
+	solvers, names, err := lookup(dropBest(policies))
+	if err != nil {
+		return Summary{}, err
 	}
 	names = append(names, "BEST")
 	ref := names[0]
@@ -156,7 +149,7 @@ func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, err
 	// first-error handling halts the fleet on a draw failure.
 	workers := runtime.GOMAXPROCS(0)
 	chunks, _ := appendChunks(nil, 0, len(tasks), chunkTrials(len(tasks), workers))
-	err := runStealing(chunks, workers, nil, newScratch, func(s *sumScratch, c chunk) error {
+	err = runStealing(chunks, workers, nil, newScratch, func(s *sumScratch, c chunk) error {
 		for ti := c.lo; ti < c.hi; ti++ {
 			set, err := scenario.DrawRandom(s.gen, tasks[ti].seed, tasks[ti].w, s.set)
 			if err != nil {
@@ -386,7 +379,7 @@ func RunNoCValidation(seed int64, n int, policy string) (NoCValidation, error) {
 			MeanUtilization: st.MeanUtilization(),
 		}
 		for _, c := range set {
-			relErr := abs(st.DeliveredRate(c.ID)-c.Rate) / c.Rate
+			relErr := math.Abs(st.DeliveredRate(c.ID)-c.Rate) / c.Rate
 			if relErr > v.WorstRateError {
 				v.WorstRateError = relErr
 			}
@@ -394,11 +387,4 @@ func RunNoCValidation(seed int64, n int, policy string) (NoCValidation, error) {
 		return v, nil
 	}
 	return NoCValidation{}, fmt.Errorf("experiments: no feasible instance found for NoC validation")
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

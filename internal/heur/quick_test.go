@@ -2,6 +2,7 @@ package heur
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +100,7 @@ func TestQuickFeasibilityMonotoneInRates(t *testing.T) {
 			return true
 		}
 		k := (float64(scale%100) + 1) / 101.0 // in (0, 1]
-		scaled := in.Comms.Clone()
+		scaled := slices.Clone(in.Comms)
 		for i := range scaled {
 			scaled[i].Rate *= k
 		}

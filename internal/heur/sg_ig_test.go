@@ -66,7 +66,7 @@ func TestIdealShareRoundTrip(t *testing.T) {
 	}
 	// Total virtual load = δ·ℓ (δ per diagonal crossing, ℓ crossings).
 	total := 0.0
-	for _, l := range loads.Loads() {
+	for _, l := range loads.LoadsView() {
 		total += l
 	}
 	if want := g.Rate * float64(g.Length()); math.Abs(total-want) > 1e-6 {

@@ -207,9 +207,6 @@ func (b Box) Contains(c Coord) bool {
 	return c.U >= b.UMin && c.U <= b.UMax && c.V >= b.VMin && c.V <= b.VMax
 }
 
-// Cores returns the number of cores inside the box.
-func (b Box) Cores() int { return (b.UMax - b.UMin + 1) * (b.VMax - b.VMin + 1) }
-
 // FrontierLinks returns the links a shortest path from src to dst may use
 // at step t (0-based), i.e. the links going from diagonal D^(d)_{ksrc+t} to
 // D^(d)_{ksrc+t+1} that stay inside the bounding box of the communication.

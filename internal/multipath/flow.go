@@ -36,20 +36,6 @@ func (f *FlowField) Add(l mesh.Link, rate float64) {
 	f.links[f.Mesh.LinkID(l)] += rate
 }
 
-// Load returns the flow on link l.
-func (f *FlowField) Load(l mesh.Link) float64 { return f.links[f.Mesh.LinkID(l)] }
-
-// Loads returns a copy of the dense per-link load vector.
-func (f *FlowField) Loads() []float64 {
-	out := make([]float64, len(f.links))
-	copy(out, f.links)
-	return out
-}
-
-// LoadsView returns the field's internal load vector without copying
-// (mesh.LinkID indexed). It must not be mutated except through Add.
-func (f *FlowField) LoadsView() []float64 { return f.links }
-
 // Validate checks flow conservation: Rate out of Src, Rate into Dst, and
 // in-flow equal to out-flow at every other core; all link flows must be
 // non-negative.

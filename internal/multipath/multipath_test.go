@@ -107,8 +107,8 @@ func TestDecomposeTheorem1(t *testing.T) {
 		t.Fatalf("fragments carry %g, want 600", total)
 	}
 	// Superposition reproduces the field exactly.
-	want := f.Loads()
-	got := loads.Loads()
+	want := f.links
+	got := loads.LoadsView()
 	for id := range want {
 		if math.Abs(want[id]-got[id]) > 1e-6 {
 			t.Fatalf("link %d: decomposed load %g, field %g", id, got[id], want[id])
@@ -126,6 +126,15 @@ func TestDecomposeRejectsBrokenFlow(t *testing.T) {
 	}
 }
 
+// solveSplit routes set with e and evaluates the routing.
+func solveSplit(e EqualSplit, m *mesh.Mesh, model power.Model, set comm.Set) (route.Result, error) {
+	r, err := e.RouteWith(m, model, set, nil)
+	if err != nil {
+		return route.Result{}, err
+	}
+	return route.Evaluate(r, model), nil
+}
+
 // Section 3.5's 2-MP example: splitting the rate-3 communication lets the
 // routing reach power 32, below the best single-path 56.
 func TestEqualSplitBeatsSinglePathOnFigure2(t *testing.T) {
@@ -135,7 +144,7 @@ func TestEqualSplitBeatsSinglePathOnFigure2(t *testing.T) {
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1},
 		{ID: 2, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 3},
 	}
-	res, err := EqualSplit{S: 2, Inner: heur.TB{}}.Solve(m, model, set)
+	res, err := solveSplit(EqualSplit{S: 2, Inner: heur.TB{}}, m, model, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func TestEqualSplitValidOnRandom(t *testing.T) {
 	for _, s := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 4; seed++ {
 			set := workload.New(m, seed).Uniform(20, 100, 2500)
-			r, err := EqualSplit{S: s}.Route(m, model, set)
+			r, err := EqualSplit{S: s}.RouteWith(m, model, set, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +179,7 @@ func TestEqualSplitValidOnRandom(t *testing.T) {
 			}
 		}
 	}
-	if _, err := (EqualSplit{S: 0}).Route(m, model, nil); err == nil {
+	if _, err := (EqualSplit{S: 0}).RouteWith(m, model, nil, nil); err == nil {
 		t.Error("S=0 accepted")
 	}
 }
@@ -185,7 +194,7 @@ func TestEqualSplitRelievesOverload(t *testing.T) {
 		{ID: 0, Src: mesh.Coord{U: 2, V: 2}, Dst: mesh.Coord{U: 6, V: 6}, Rate: 3400},
 		{ID: 1, Src: mesh.Coord{U: 2, V: 2}, Dst: mesh.Coord{U: 6, V: 6}, Rate: 3400},
 	}
-	res, err := EqualSplit{S: 4, Inner: heur.TB{}}.Solve(m, model, set)
+	res, err := solveSplit(EqualSplit{S: 4, Inner: heur.TB{}}, m, model, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,22 +23,6 @@ type EqualSplit struct {
 	Inner heur.Heuristic
 }
 
-// Name returns e.g. "2MP(SG)".
-func (e EqualSplit) Name() string {
-	inner := e.Inner
-	if inner == nil {
-		inner = heur.SG{}
-	}
-	return fmt.Sprintf("%dMP(%s)", e.S, inner.Name())
-}
-
-// Route splits, routes the fragments with the inner heuristic, and
-// reassembles a multi-path routing carrying the original communication
-// IDs. The returned routing satisfies Validate(set, S).
-func (e EqualSplit) Route(m *mesh.Mesh, model power.Model, set comm.Set) (route.Routing, error) {
-	return e.RouteWith(m, model, set, nil)
-}
-
 // smpScratch pools the fragment set and the fragment→original ID table
 // across workspace-reusing calls.
 type smpScratch struct {
@@ -46,9 +30,12 @@ type smpScratch struct {
 	origID []int
 }
 
-// RouteWith is Route threading a reusable dense workspace (nil allowed) to
-// the fragment buffers and the inner heuristic; the returned routing then
-// aliases workspace memory per the route.Workspace contract.
+// RouteWith splits, routes the fragments with the inner heuristic, and
+// reassembles a multi-path routing carrying the original communication
+// IDs; the returned routing satisfies Validate(set, S). A reusable dense
+// workspace (nil allowed) serves the fragment buffers and the inner
+// heuristic, and the returned routing then aliases workspace memory per
+// the route.Workspace contract.
 func (e EqualSplit) RouteWith(m *mesh.Mesh, model power.Model, set comm.Set, ws *route.Workspace) (route.Routing, error) {
 	if e.S < 1 {
 		return route.Routing{}, fmt.Errorf("multipath: split count %d < 1", e.S)
@@ -92,13 +79,4 @@ func (e EqualSplit) RouteWith(m *mesh.Mesh, model power.Model, set comm.Set, ws 
 		r.Flows[i].Comm.ID = origID[r.Flows[i].Comm.ID]
 	}
 	return route.Routing{Mesh: m, Flows: r.Flows}, nil
-}
-
-// Solve routes and evaluates in one call.
-func (e EqualSplit) Solve(m *mesh.Mesh, model power.Model, set comm.Set) (route.Result, error) {
-	r, err := e.Route(m, model, set)
-	if err != nil {
-		return route.Result{}, err
-	}
-	return route.Evaluate(r, model), nil
 }

@@ -183,22 +183,6 @@ func descendAt(src, dst mesh.Coord, col int) route.Path {
 	return append(p, route.XY(mesh.Coord{U: 2, V: col}, dst)...)
 }
 
-// Feasible decides the gadget's s-MP feasibility. By Theorem 3 this is
-// exactly the 2-Partition question on A, which Partition answers in
-// pseudo-polynomial time; Feasible also returns a witness routing when
-// one exists.
-func (r *Reduction) Feasible() (route.Routing, bool, error) {
-	subset, ok := Partition(r.A)
-	if !ok {
-		return route.Routing{}, false, nil
-	}
-	routing, err := r.RoutingFromPartition(subset)
-	if err != nil {
-		return route.Routing{}, false, err
-	}
-	return routing, true, nil
-}
-
 // VerticalSaturation returns the loads of the q vertical row-1→row-2
 // links of a routing on the gadget mesh; in any feasible gadget routing
 // every entry equals BW (the proof's saturation argument).

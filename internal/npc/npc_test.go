@@ -141,12 +141,13 @@ func TestReductionForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			routing, ok, err := red.Feasible()
-			if err != nil {
-				t.Fatal(err)
-			}
+			subset, ok := Partition(red.A)
 			if !ok {
 				t.Fatalf("Build(%v,%d): expected feasible", tc, s)
+			}
+			routing, err := red.RoutingFromPartition(subset)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := routing.Validate(red.Comms, red.S); err != nil {
 				t.Fatalf("Build(%v,%d): witness routing invalid: %v", tc, s, err)
@@ -173,7 +174,7 @@ func TestReductionConverse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := red.Feasible(); ok {
+		if _, ok := Partition(red.A); ok {
 			t.Errorf("Build(%v): expected infeasible gadget", tc)
 		}
 	}

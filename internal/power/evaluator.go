@@ -8,13 +8,13 @@ import (
 // Evaluator is the compiled form of a Model for hot evaluation loops: the
 // per-frequency power Pleak + Dynamic(f) of the (typically three-entry)
 // discrete ladder is precomputed into a flat table, so the per-probe cost
-// of QuantizeOK/LinkPowerOK/Pseudo drops from a binary search plus a
+// of LinkPowerOK/Pseudo drops from a binary search plus a
 // math.Pow call to a short linear scan over precomputed floats. The
 // continuous case caches the FreqUnit divisor so the unit-defaulting
 // branch of Model.Dynamic is paid once at compile time.
 //
 // Every query is bit-identical to the Model method it compiles
-// (QuantizeOK, LinkPowerOK, and the heuristics' pseudo-power extension):
+// (LinkPowerOK and the heuristics' pseudo-power extension):
 // the table entries are produced by the same expressions the Model
 // evaluates per probe, and the comparison thresholds reuse the Model's
 // exact arithmetic, so replacing a Model call with the compiled form never
@@ -66,9 +66,6 @@ func Compile(m Model) *Evaluator {
 	return e
 }
 
-// Model returns the model the evaluator was compiled from.
-func (e *Evaluator) Model() Model { return e.model }
-
 // CompiledFrom reports whether the evaluator was compiled from a model
 // equal to m — the cache-validity check of workspace-pooled evaluators.
 func (e *Evaluator) CompiledFrom(m Model) bool {
@@ -94,29 +91,6 @@ func (e *Evaluator) ladder(load float64) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// QuantizeOK mirrors Model.QuantizeOK: the operating frequency for a link
-// carrying the load, ok=false when the load exceeds the available
-// bandwidth.
-func (e *Evaluator) QuantizeOK(load float64) (f float64, ok bool) {
-	if load < 0 {
-		return 0, false
-	}
-	if load == 0 {
-		return 0, true
-	}
-	if load > e.maxOK {
-		return 0, false
-	}
-	if e.continuous {
-		return math.Min(load, e.maxBW), true
-	}
-	i, ok := e.ladder(load)
-	if !ok {
-		return 0, false
-	}
-	return e.freqs[i], true
 }
 
 // LinkPowerOK mirrors Model.LinkPowerOK: the power of a link carrying the

@@ -58,12 +58,6 @@ func TestEvaluatorMatchesModel(t *testing.T) {
 	for name, m := range evaluatorModels() {
 		e := Compile(m)
 		for _, load := range probeLoads(m) {
-			fM, okM := m.QuantizeOK(load)
-			fE, okE := e.QuantizeOK(load)
-			if fM != fE || okM != okE {
-				t.Errorf("%s: QuantizeOK(%g): model (%g,%v) vs evaluator (%g,%v)",
-					name, load, fM, okM, fE, okE)
-			}
 			pM, okM := m.LinkPowerOK(load)
 			pE, okE := e.LinkPowerOK(load)
 			if pM != pE || okM != okE {
@@ -87,7 +81,8 @@ func TestEvaluatorMatchesModel(t *testing.T) {
 
 // QuantizeOK at the frequency boundaries: loads within loadEps of a
 // discrete frequency snap onto it, loads just past it select the next
-// rung, and loads just past MaxBW+loadEps are infeasible.
+// rung, and loads just past MaxBW+loadEps are infeasible; the compiled
+// evaluator's link power agrees with the model's at every one of them.
 func TestQuantizeOKBoundaries(t *testing.T) {
 	m := KimHorowitz() // ladder {1000, 2500, 3500}
 	cases := []struct {
@@ -115,10 +110,10 @@ func TestQuantizeOKBoundaries(t *testing.T) {
 			t.Errorf("Model.QuantizeOK(%v): got (%g,%v), want (%g,%v)",
 				c.load, f, ok, c.wantF, c.wantOK)
 		}
-		f, ok = e.QuantizeOK(c.load)
-		if f != c.wantF || ok != c.wantOK {
-			t.Errorf("Evaluator.QuantizeOK(%v): got (%g,%v), want (%g,%v)",
-				c.load, f, ok, c.wantF, c.wantOK)
+		pM, okM := m.LinkPowerOK(c.load)
+		if pE, okE := e.LinkPowerOK(c.load); pE != pM || okE != okM {
+			t.Errorf("Evaluator.LinkPowerOK(%v): got (%g,%v), model (%g,%v)",
+				c.load, pE, okE, pM, okM)
 		}
 		// Quantize (the error-returning form) must agree with QuantizeOK.
 		fq, err := m.Quantize(c.load)
@@ -135,12 +130,12 @@ func TestQuantizeOKBoundaries(t *testing.T) {
 func TestContinuousBoundaries(t *testing.T) {
 	m := KimHorowitzContinuous()
 	e := Compile(m)
-	f, ok := e.QuantizeOK(m.MaxBW + loadEps)
-	if !ok || f != m.MaxBW {
-		t.Errorf("QuantizeOK(MaxBW+eps): got (%g,%v), want (%g,true)", f, ok, m.MaxBW)
+	pCap, _ := e.LinkPowerOK(m.MaxBW)
+	if p, ok := e.LinkPowerOK(m.MaxBW + loadEps); !ok || p != pCap {
+		t.Errorf("LinkPowerOK(MaxBW+eps): got (%g,%v), want the power at MaxBW (%g,true)", p, ok, pCap)
 	}
-	if _, ok := e.QuantizeOK(m.MaxBW + 3*loadEps); ok {
-		t.Error("QuantizeOK(MaxBW+3eps): want infeasible")
+	if _, ok := e.LinkPowerOK(m.MaxBW + 3*loadEps); ok {
+		t.Error("LinkPowerOK(MaxBW+3eps): want infeasible")
 	}
 	atCap := e.Pseudo(m.MaxBW)
 	beyond := e.Pseudo(m.MaxBW * 1.25)
@@ -177,7 +172,8 @@ func TestEvaluatorCompiledFrom(t *testing.T) {
 	src := KimHorowitz()
 	e = Compile(src)
 	src.Freqs[0] = 999
-	if f, ok := e.QuantizeOK(500); !ok || f != 1000 {
-		t.Errorf("evaluator aliased the caller's Freqs: QuantizeOK(500) = (%g,%v)", f, ok)
+	want, _ := KimHorowitz().LinkPowerOK(500)
+	if p, ok := e.LinkPowerOK(500); !ok || p != want {
+		t.Errorf("evaluator aliased the caller's Freqs: LinkPowerOK(500) = (%g,%v), want %g", p, ok, want)
 	}
 }

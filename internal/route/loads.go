@@ -75,12 +75,6 @@ func NewLoadTrackerTopo(tp topo.Topology) *LoadTracker {
 	return &LoadTracker{topo: tp, loads: make([]float64, tp.LinkIDSpace())}
 }
 
-// Mesh returns the tracker's mesh (nil for non-mesh topologies).
-func (t *LoadTracker) Mesh() *mesh.Mesh { return t.mesh }
-
-// Topo returns the tracker's platform topology.
-func (t *LoadTracker) Topo() topo.Topology { return t.topo }
-
 // linkID resolves a link's dense id on the tracked platform.
 func (t *LoadTracker) linkID(l mesh.Link) int {
 	if t.mesh != nil {
@@ -143,29 +137,10 @@ func (t *LoadTracker) Load(l mesh.Link) float64 { return t.loads[t.linkID(l)] }
 // LoadID returns the current load of the link with the given dense id.
 func (t *LoadTracker) LoadID(id int) float64 { return t.loads[id] }
 
-// Loads returns a copy of the per-link load vector (indexed by LinkID).
-func (t *LoadTracker) Loads() []float64 {
-	return t.LoadsInto(nil)
-}
-
-// LoadsInto copies the per-link load vector into dst (reusing its backing
-// array when large enough) — the scratch-reusing form of Loads for hot
-// evaluation loops.
-func (t *LoadTracker) LoadsInto(dst []float64) []float64 {
-	return append(dst[:0], t.loads...)
-}
-
 // LoadsView returns the tracker's internal load vector without copying.
 // The slice is indexed by mesh.LinkID, must not be mutated, and is
-// invalidated by the next tracker mutation — use it for read-only
-// evaluation on the hot path and Loads/LoadsInto everywhere else.
+// invalidated by the next tracker mutation.
 func (t *LoadTracker) LoadsView() []float64 { return t.loads }
-
-// Clone returns an independent copy of the tracker's loads. The incidence
-// index and aggregate observer are not carried over.
-func (t *LoadTracker) Clone() *LoadTracker {
-	return &LoadTracker{mesh: t.mesh, topo: t.topo, loads: t.Loads()}
-}
 
 // Reset zeroes all loads and switches off the incidence index and the
 // aggregate observer.

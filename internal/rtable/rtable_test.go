@@ -39,7 +39,7 @@ func TestMultiPathTables(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 4).Uniform(10, 500, 2500)
-	r, err := multipath.EqualSplit{S: 3}.Route(m, model, set)
+	r, err := multipath.EqualSplit{S: 3}.RouteWith(m, model, set, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestRouteMatchesDirectPolicies(t *testing.T) {
 		"PR": func() (route.Routing, error) { return heur.PR{}.Route(in) },
 		"XY": func() (route.Routing, error) { return heur.XY{}.Route(in) },
 		"2MP": func() (route.Routing, error) {
-			return multipath.EqualSplit{S: 2, Inner: heur.TB{}}.Route(in.Mesh, in.Model, in.Comms)
+			return multipath.EqualSplit{S: 2, Inner: heur.TB{}}.RouteWith(in.Mesh, in.Model, in.Comms, nil)
 		},
 	}
 	for name, f := range direct {

@@ -20,9 +20,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += (x - a.mean) / float64(a.n)
 }
 
-// N returns the sample count.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (0 with no samples).
 func (a *Accumulator) Mean() float64 { return a.mean }
 

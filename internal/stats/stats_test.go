@@ -12,8 +12,8 @@ func TestAccumulatorKnownValues(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d", a.N())
+	if a.n != 8 {
+		t.Fatalf("n = %d", a.n)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %g, want 5", a.Mean())

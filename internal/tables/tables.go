@@ -27,17 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddFloatRow formats floats with the given precision into a row, with an
-// arbitrary first (label) cell.
-func (t *Table) AddFloatRow(label string, prec int, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf("%.*f", prec, v))
-	}
-	t.AddRow(cells...)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -31,14 +31,6 @@ func TestAddRowPadsShortRows(t *testing.T) {
 	}
 }
 
-func TestAddFloatRow(t *testing.T) {
-	tb := New("", "label", "v1", "v2")
-	tb.AddFloatRow("r", 2, 1.234, 5.678)
-	if tb.Rows[0][1] != "1.23" || tb.Rows[0][2] != "5.68" {
-		t.Errorf("float formatting: %v", tb.Rows[0])
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tb := New("", "name", "value")
 	tb.AddRow("plain", "1")

@@ -104,9 +104,6 @@ func (c *Circulant) String() string {
 	return fmt.Sprintf("C(%d; %v)", c.n, c.gens)
 }
 
-// N returns the number of nodes.
-func (c *Circulant) N() int { return c.n }
-
 // NumCores returns N.
 func (c *Circulant) NumCores() int { return c.n }
 

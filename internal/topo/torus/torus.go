@@ -63,12 +63,6 @@ func (t *Torus) Spec() string { return fmt.Sprintf("torus:%dx%d", t.p, t.q) }
 // String describes the torus dimensions.
 func (t *Torus) String() string { return fmt.Sprintf("%dx%d torus", t.p, t.q) }
 
-// P returns the number of rows.
-func (t *Torus) P() int { return t.p }
-
-// Q returns the number of columns.
-func (t *Torus) Q() int { return t.q }
-
 // NumCores returns p·q.
 func (t *Torus) NumCores() int { return t.p * t.q }
 

@@ -27,9 +27,6 @@ func New(m *mesh.Mesh, seed int64) *Generator {
 	return &Generator{mesh: m, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Mesh returns the generator's mesh.
-func (g *Generator) Mesh() *mesh.Mesh { return g.mesh }
-
 // Reseed restarts the generator's random stream at seed. The subsequent
 // draws are identical to a fresh New(m, seed) generator while keeping the
 // pair cache warm — the experiment engine reseeds one generator per worker
