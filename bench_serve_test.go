@@ -1,25 +1,18 @@
-// Service-level benchmark harness: throughput and latency percentiles of
-// the routed HTTP endpoints measured in-process over loopback — the
-// single-solve path, a cold sweep execution, and a warm cache hit — plus
-// the BENCH_serve.json emitter cmd/benchguard reads to keep the service's
-// latency trajectory honest. The pooled-multipath allocation guard lives
-// here too: it bounds the per-solve allocations of the s-MP policies the
-// fragmentation pooling is responsible for.
+// Service-level benchmark helpers: the sweep workload and request helper
+// TestEmitBenchJSON loads the routed endpoints with, and the
+// pooled-multipath allocation guard that bounds the per-solve allocations
+// of the s-MP policies the fragmentation pooling is responsible for.
 package repro_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
 	"testing"
 
 	"repro/internal/route"
 	"repro/internal/scenario"
-	"repro/internal/serve"
 	"repro/internal/solve"
 )
 
@@ -54,18 +47,6 @@ func TestMultipathPooledAllocs(t *testing.T) {
 	}
 }
 
-// serveBenchFile is the BENCH_serve.json document. RefSolveNS is the
-// ns/op of a warmed XY solve on the reference instance measured in the
-// same run — the machine-speed proxy benchguard divides the latency
-// percentiles by, so a committed developer-machine baseline compares
-// against a CI runner by relative cost rather than raw nanoseconds.
-type serveBenchFile struct {
-	RefSolveNS float64          `json:"ref_solve_ns"`
-	Solve      serve.LoadReport `json:"solve"`
-	SweepCold  serve.LoadReport `json:"sweep_cold"`
-	SweepHit   serve.LoadReport `json:"sweep_hit"`
-}
-
 // serveBenchSpec is the sweep workload of the serve benchmark; the seed
 // varies per request in the cold run so every submission is a distinct
 // cache miss.
@@ -97,106 +78,4 @@ func postBytes(client *http.Client, url string, body []byte) error {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, data)
 	}
 	return nil
-}
-
-// TestEmitServeBenchJSON writes BENCH_serve.json when BENCH_SERVE_JSON
-// names the output path: an in-process routed server is loaded over
-// loopback HTTP on the three tracked paths. Without the variable the
-// test is a no-op.
-func TestEmitServeBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SERVE_JSON")
-	if path == "" {
-		t.Skip("BENCH_SERVE_JSON not set")
-	}
-
-	// Machine-speed reference: a warmed XY solve on the bench instance.
-	in := solverBenchInstance()
-	xy, err := solve.Lookup("XY")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := route.NewWorkspace()
-	opts := solve.Options{Workspace: ws}
-	if _, err := xy.Route(in, opts); err != nil {
-		t.Fatal(err)
-	}
-	refRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xy.Route(in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	srv := serve.New(serve.Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 64,
-	}}
-
-	// Single-solve path: one fixed request, repeated.
-	solveReq := serve.SolveRequest{Policy: "XYI"}
-	for _, c := range in.Comms[:20] {
-		solveReq.Comms = append(solveReq.Comms, serve.SolveComm{
-			ID: c.ID, Src: [2]int{c.Src.U, c.Src.V}, Dst: [2]int{c.Dst.U, c.Dst.V}, Rate: c.Rate,
-		})
-	}
-	solveBody, err := json.Marshal(solveReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveRep := serve.RunLoad(serve.LoadConfig{Clients: 16, Requests: 512}, func(_, _ int) error {
-		return postBytes(client, ts.URL+"/solve", solveBody)
-	})
-
-	// Cold sweeps: a distinct seed per request, every one a cache miss
-	// that executes the full sweep.
-	coldRep := serve.RunLoad(serve.LoadConfig{Clients: 2, Requests: 16}, func(_, req int) error {
-		body, err := json.Marshal(serveBenchSpec(int64(1000 + req)))
-		if err != nil {
-			return err
-		}
-		return postBytes(client, ts.URL+"/sweep", body)
-	})
-
-	// Warm hits: prime one spec, then replay it from the cache.
-	hitBody, err := json.Marshal(serveBenchSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := postBytes(client, ts.URL+"/sweep", hitBody); err != nil {
-		t.Fatal(err)
-	}
-	hitRep := serve.RunLoad(serve.LoadConfig{Clients: 16, Requests: 512}, func(_, _ int) error {
-		return postBytes(client, ts.URL+"/sweep", hitBody)
-	})
-
-	for name, rep := range map[string]serve.LoadReport{
-		"solve": solveRep, "sweep_cold": coldRep, "sweep_hit": hitRep,
-	} {
-		if rep.Errors > 0 {
-			t.Fatalf("%s: %d/%d requests failed", name, rep.Errors, rep.Requests)
-		}
-	}
-
-	doc := serveBenchFile{
-		RefSolveNS: float64(refRes.NsPerOp()),
-		Solve:      solveRep,
-		SweepCold:  coldRep,
-		SweepHit:   hitRep,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s (solve p50 %.0fns, cold p50 %.0fns, hit p50 %.0fns)\n",
-		path, solveRep.P50NS, coldRep.P50NS, hitRep.P50NS)
 }

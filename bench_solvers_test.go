@@ -1,14 +1,11 @@
 // Solver-level benchmark harness: per-policy ns/op and allocs/op on the
-// reference workload, the ≥10× workspace-reuse allocation guard of the
-// dense-workspace refactor, and the BENCH_solvers.json emitter that lets
-// CI track the per-policy perf trajectory across commits.
+// reference workload and the ≥10× workspace-reuse allocation guard of the
+// dense-workspace refactor. TestEmitBenchJSON records the same policies
+// for cmd/benchguard.
 package repro_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/heur"
@@ -245,121 +242,4 @@ func BenchmarkNoCSimEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
-}
-
-// solverBenchRow is one policy's entry in BENCH_solvers.json.
-type solverBenchRow struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// optBenchRow measures the exact branch-and-bound on its committed bench
-// instance (serial, reused workspace) — the BENCH_solvers.json entry that
-// tracks the incumbent-seeded search's speed per commit.
-func optBenchRow(t *testing.T) solverBenchRow {
-	t.Helper()
-	s, err := solve.Lookup("OPT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := optBenchInstance()
-	opts := optBenchOptions(route.NewWorkspace())
-	if _, err := s.Route(in, opts); err != nil {
-		t.Fatal(err)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Route(in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return solverBenchRow{
-		NsPerOp:     float64(res.NsPerOp()),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-	}
-}
-
-// nocSimBenchRow measures the pooled NoC simulator on the E15 reference
-// instance under the given configuration — the BENCH_solvers.json
-// entries cmd/benchguard tracks (one per switching mode, one for the
-// explicit energy-accounting configuration).
-func nocSimBenchRow(t *testing.T, cfg noc.Config) solverBenchRow {
-	t.Helper()
-	m := mesh.MustNew(8, 8)
-	model := power.KimHorowitz()
-	set := workload.New(m, 8).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-	if err != nil || !res.Feasible {
-		t.Fatalf("NoC bench setup: err=%v feasible=%v", err, res.Feasible)
-	}
-	ws := noc.NewWorkspace()
-	bres := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim, err := ws.Simulator(res.Routing, model, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim.Run()
-		}
-	})
-	return solverBenchRow{
-		NsPerOp:     float64(bres.NsPerOp()),
-		AllocsPerOp: bres.AllocsPerOp(),
-		BytesPerOp:  bres.AllocedBytesPerOp(),
-	}
-}
-
-// TestEmitSolverBenchJSON writes BENCH_solvers.json (per-policy ns/op and
-// allocs/op under workspace reuse, plus the pooled NoC simulator in both
-// switching modes) when BENCH_SOLVERS_JSON names the output path — the CI
-// hook that tracks the perf trajectory. Without the variable the test is
-// a no-op.
-func TestEmitSolverBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SOLVERS_JSON")
-	if path == "" {
-		t.Skip("BENCH_SOLVERS_JSON not set")
-	}
-	in := solverBenchInstance()
-	rows := make(map[string]solverBenchRow, len(solverBenchNames)+2)
-	for _, name := range solverBenchNames {
-		s, err := solve.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := route.NewWorkspace()
-		opts := solve.Options{Workspace: ws}
-		if _, err := s.Route(in, opts); err != nil {
-			t.Fatal(err)
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Route(in, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows[name] = solverBenchRow{
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-	}
-	rows["OPT"] = optBenchRow(t)
-	rows["NoCSimSF"] = nocSimBenchRow(t, noc.Config{Horizon: 1000, Warmup: 200, Switching: noc.StoreAndForward})
-	rows["NoCSimCT"] = nocSimBenchRow(t, noc.Config{Horizon: 1000, Warmup: 200, Switching: noc.CutThrough})
-	rows["NoCSimEnergy"] = nocSimBenchRow(t, nocEnergyBenchConfig())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d policies)\n", path, len(rows))
 }

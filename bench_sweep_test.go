@@ -1,19 +1,12 @@
 // Streaming-sweep benchmark harness: the per-trial allocation guard of
 // the sink/streaming layer (sinks may allocate per point, never per
-// trial), the BENCH_sweep.json emitter CI uses to track the streamed
-// sweep pipeline alongside the per-policy solver numbers, and the
-// work-stealing scaling benchmark behind BENCH_scaling.json.
+// trial) and the work-stealing scaling benchmark. TestEmitBenchJSON
+// records both sweeps for cmd/benchguard.
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -65,40 +58,6 @@ func BenchmarkSweepStreaming(b *testing.B) {
 	}
 }
 
-// TestEmitSweepBenchJSON writes BENCH_sweep.json (ns/op and allocs/op for
-// one streamed sweep point) when BENCH_SWEEP_JSON names the output path —
-// the CI hook tracking the sweep pipeline's perf trajectory next to
-// BENCH_solvers.json. Without the variable the test is a no-op.
-func TestEmitSweepBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SWEEP_JSON")
-	if path == "" {
-		t.Skip("BENCH_SWEEP_JSON not set")
-	}
-	const trials = 32
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runBenchSweep(b, trials)
-		}
-	})
-	rows := map[string]any{
-		"sweep_point": map[string]any{
-			"trials":        trials,
-			"ns_per_op":     float64(res.NsPerOp()),
-			"allocs_per_op": res.AllocsPerOp(),
-			"bytes_per_op":  res.AllocedBytesPerOp(),
-		},
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
 // scalingSpec is the mixed fast/slow-point sweep the scaling numbers are
 // measured on: big-n congested points interleaved with tiny ones, so a
 // per-point barrier would idle most of the fleet on every slow point —
@@ -122,43 +81,12 @@ func runScalingSweep(b testing.TB, workers, trials int) {
 	}
 }
 
-// scalingWorkerCounts returns the worker counts to measure: 1, 2, 4 and
-// NumCPU by default (deduplicated, sorted), or the comma-separated list
-// in BENCH_SCALING_WORKERS ("max" meaning NumCPU) — the hook CI's smoke
-// step uses to measure just the endpoints.
-func scalingWorkerCounts(tb testing.TB) []int {
-	counts := []int{1, 2, 4, runtime.NumCPU()}
-	if env := os.Getenv("BENCH_SCALING_WORKERS"); env != "" {
-		counts = counts[:0]
-		for _, f := range strings.Split(env, ",") {
-			f = strings.TrimSpace(f)
-			if strings.EqualFold(f, "max") {
-				counts = append(counts, runtime.NumCPU())
-				continue
-			}
-			n, err := strconv.Atoi(f)
-			if err != nil || n < 1 {
-				tb.Fatalf("BENCH_SCALING_WORKERS: bad count %q", f)
-			}
-			counts = append(counts, n)
-		}
-	}
-	sort.Ints(counts)
-	out := counts[:0]
-	for i, n := range counts {
-		if i == 0 || n != counts[i-1] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// BenchmarkSweepScaling runs the mixed-point sweep at 1/2/4/NumCPU
-// persistent workers (one sub-benchmark each), the raw numbers behind
-// the speedup and parallel-efficiency figures of BENCH_scaling.json.
+// BenchmarkSweepScaling runs the mixed-point sweep at each count of
+// sweepScalingWorkers (one sub-benchmark each), the raw numbers behind
+// the bench record's speedup and parallel-efficiency rows.
 func BenchmarkSweepScaling(b *testing.B) {
 	const trials = 16
-	for _, workers := range scalingWorkerCounts(b) {
+	for _, workers := range sweepScalingWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -166,67 +94,4 @@ func BenchmarkSweepScaling(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitScalingBenchJSON writes BENCH_scaling.json when
-// BENCH_SCALING_JSON names the output path: per worker count, the
-// sweep's ns/op, speedup over the serial reference, and parallel
-// efficiency. Efficiency is utilization-normalized — speedup divided by
-// min(workers, NumCPU) — so oversubscribed runs (more workers than the
-// machine has cores) are judged on the cores that actually exist; the
-// machine's core count is recorded as num_cpu next to the entries.
-// benchguard -scaling compares these figures across commits.
-func TestEmitScalingBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SCALING_JSON")
-	if path == "" {
-		t.Skip("BENCH_SCALING_JSON not set")
-	}
-	const trials = 16
-	counts := scalingWorkerCounts(t)
-	measure := func(workers int) float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runScalingSweep(b, workers, trials)
-			}
-		})
-		return float64(res.NsPerOp())
-	}
-	serial := measure(1)
-	type entry struct {
-		Workers    int     `json:"workers"`
-		NsPerOp    float64 `json:"ns_per_op"`
-		Speedup    float64 `json:"speedup"`
-		Efficiency float64 `json:"efficiency"`
-	}
-	entries := make([]entry, 0, len(counts))
-	for _, w := range counts {
-		ns := serial
-		if w != 1 {
-			ns = measure(w)
-		}
-		speedup := serial / ns
-		avail := w
-		if n := runtime.NumCPU(); avail > n {
-			avail = n
-		}
-		entries = append(entries, entry{
-			Workers:    w,
-			NsPerOp:    ns,
-			Speedup:    speedup,
-			Efficiency: speedup / float64(avail),
-		})
-	}
-	out := map[string]any{
-		"num_cpu": runtime.NumCPU(),
-		"trials":  trials,
-		"entries": entries,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

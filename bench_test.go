@@ -196,9 +196,9 @@ func BenchmarkNPGadget(b *testing.B) {
 // one sub-benchmark per switching mode, through the pooled noc.Workspace
 // (the multi-trial configuration the arena engine is built for; the
 // old-vs-new engine ratio lives in internal/noc's
-// BenchmarkEngineVsReference). Both modes land in BENCH_solvers.json as
-// NoCSimSF/NoCSimCT and cmd/benchguard fails CI when either regresses
-// beyond 2×.
+// BenchmarkEngineVsReference). TestEmitBenchJSON records both modes as
+// the NoCSimSF/NoCSimCT rows, and cmd/benchguard fails CI when either
+// regresses beyond 2× over the same session's XY.
 func BenchmarkNoCSim(b *testing.B) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()

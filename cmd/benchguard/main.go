@@ -1,351 +1,174 @@
-// Command benchguard compares freshly measured benchmark JSON against
-// the committed baselines and fails when a tracked figure regressed
-// beyond the allowed factor — the CI tripwire that keeps the refinement
-// heuristics' compiled-objective speedups, IG's range-minimum bound and
-// PR's degree-count path cleaning, the NoC simulator's
-// arena-engine speedup (the NoCSimSF/NoCSimCT rows, one per switching
-// mode, plus NoCSimEnergy for the per-component energy-accounting
-// configuration), and the sweep scheduler's parallel efficiency from
-// silently rotting.
+// Command benchguard compares a freshly measured bench record with the
+// committed baseline and fails when a guarded row regressed:
 //
-// Usage:
+//	BENCH_JSON=$PWD/bench.json go test -run '^TestEmitBenchJSON$' -count=1 .
+//	benchguard -baseline BENCH_baseline.jsonl -current bench.json
 //
-//	benchguard -baseline BENCH_solvers.json -current fresh.json -policies IG,PR,XYI,SA,NoCSimSF,NoCSimCT,NoCSimEnergy -factor 2
-//	benchguard -scaling fresh_scaling.json -scaling-baseline BENCH_scaling.json -eff-floor 0.5 -eff-factor 0.6
-//	benchguard -serve fresh_serve.json -serve-baseline BENCH_serve.json -serve-factor 3 -hit-speedup 2
-//
-// At least one of -current, -scaling and -serve is required; passing
-// several runs every requested check in one invocation.
-//
-// For the solver check, each policy's ns/op is first normalized by the
-// ns/op of the -ref policy (XY) measured in the same file, so the guard
-// compares how much slower a policy is than the trivial baseline routing
-// on the same machine — absolute ns/op measured on different hardware (a
-// committed developer-machine baseline vs. a CI runner) would trip on
-// machine speed rather than code. Pass -ref "" to compare raw ns/op
-// instead.
-//
-// The scaling check reads the parallel-efficiency figures emitted by
-// TestEmitScalingBenchJSON (speedup over the serial sweep divided by
-// min(workers, NumCPU)) and fails a multi-worker entry whose efficiency
-// fell below -eff-floor, or below -eff-factor times the committed
-// baseline's efficiency at the same worker count. Efficiency is already
-// a machine-relative ratio, so no reference normalization applies; the
-// baseline-relative factor is deliberately loose because efficiency on a
-// shared CI runner is noisy — the guard exists to catch the scheduler
-// serializing (efficiency collapsing toward 1/workers), not 10% jitter.
-//
-// The serve check reads the latency report emitted by
-// TestEmitServeBenchJSON (BENCH_serve.json): per-path p50 latencies for
-// the single-solve endpoint, a cold sweep execution, and a warm cache
-// hit. Each p50 is first divided by the file's own ref_solve_ns (a warmed
-// XY solve measured in the same run — the machine-speed proxy), so the
-// committed baseline compares against a CI runner by relative cost; a
-// path fails when its normalized p50 exceeds -serve-factor times the
-// baseline's. The -hit-speedup floor is machine-independent within one
-// file: the current run's cold p50 over its hit p50 must stay above the
-// floor, the latency guardrail proving a warm hit actually bypasses the
-// sweep engine.
-//
-// Policies, worker counts, or serve paths present in the tracked set but
-// missing from either file are an error: a guard that silently skips its
-// subjects guards nothing.
+// Both files hold records in perfbench's result shape, one per line:
+// {"environment": {...}, "metrics": {name: {"value", "unit"}}}, each one
+// measuring session. Every guard of the table applies one rule. A row is
+// divided by its reference row from the same record, never from another,
+// and must stay within Factor of the baseline and at or above Floor. A
+// guarded row missing from either file, or a non-positive value, exits 2;
+// only a pattern row the baseline never measured (a larger worker count)
+// is held to its floor alone.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path"
+	"sort"
 	"strings"
 )
 
-// row mirrors the per-policy entry of BENCH_solvers.json.
-type row struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+// record is one measuring session; benchguard reads only its values.
+type record struct {
+	Metrics map[string]struct{ Value float64 } `json:"metrics"`
 }
 
-// scalingFile mirrors BENCH_scaling.json.
-type scalingFile struct {
-	NumCPU  int            `json:"num_cpu"`
-	Trials  int            `json:"trials"`
-	Entries []scalingEntry `json:"entries"`
+// guard is one rule. Row may be a path.Match pattern, guarding every row
+// of the current file it matches. Factor bounds current/baseline: at
+// most Factor when lower is better, at least Factor when higher is. Floor
+// is the least normalized current value. Zero disables either bound.
+type guard struct {
+	Row, Ref, Better string
+	Factor, Floor    float64
 }
 
-type scalingEntry struct {
-	Workers    int     `json:"workers"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"`
-}
-
-// serveFile mirrors BENCH_serve.json; loadReport the per-path figures.
-type serveFile struct {
-	RefSolveNS float64    `json:"ref_solve_ns"`
-	Solve      loadReport `json:"solve"`
-	SweepCold  loadReport `json:"sweep_cold"`
-	SweepHit   loadReport `json:"sweep_hit"`
-}
-
-type loadReport struct {
-	Requests      int     `json:"requests"`
-	Errors        int     `json:"errors"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50NS         float64 `json:"p50_ns"`
-	P99NS         float64 `json:"p99_ns"`
+var guards = []guard{
+	{Row: "IG.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "PR.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "XYI.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "SA.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "2MP.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "4MP.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "OPT.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "NoCSimSF.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "NoCSimCT.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "NoCSimEnergy.ns_per_op", Ref: "XY.ns_per_op", Better: "lower", Factor: 2},
+	{Row: "serve.solve.p50_ns", Ref: "XY.ns_per_op", Better: "lower", Factor: 3},
+	{Row: "serve.sweep_cold.p50_ns", Ref: "XY.ns_per_op", Better: "lower", Factor: 3},
+	{Row: "serve.sweep_hit.p50_ns", Ref: "XY.ns_per_op", Better: "lower", Factor: 3},
+	// The cold-sweep p50 over the cache-hit p50: the hit speedup.
+	{Row: "serve.sweep_cold.p50_ns", Ref: "serve.sweep_hit.p50_ns", Better: "higher", Floor: 2},
+	{Row: "sweep_scaling.*.efficiency", Better: "higher", Factor: 0.6, Floor: 0.5},
 }
 
 func main() {
-	var (
-		baseline = flag.String("baseline", "BENCH_solvers.json", "committed solver baseline JSON")
-		current  = flag.String("current", "", "freshly measured solver JSON to check")
-		policies = flag.String("policies", "IG,PR,XYI,SA,2MP,4MP,OPT,NoCSimSF,NoCSimCT,NoCSimEnergy", "comma-separated policies to guard")
-		factor   = flag.Float64("factor", 2, "maximum allowed solver slowdown current/baseline")
-		ref      = flag.String("ref", "XY", "reference policy that normalizes machine speed (empty = compare raw ns/op)")
-
-		scaling     = flag.String("scaling", "", "freshly measured scaling JSON to check")
-		scalingBase = flag.String("scaling-baseline", "BENCH_scaling.json", "committed scaling baseline JSON")
-		effFloor    = flag.Float64("eff-floor", 0.5, "minimum parallel efficiency for multi-worker entries")
-		effFactor   = flag.Float64("eff-factor", 0.6, "minimum fraction of the baseline's efficiency at the same worker count")
-
-		serveCur    = flag.String("serve", "", "freshly measured serve latency JSON to check")
-		serveBase   = flag.String("serve-baseline", "BENCH_serve.json", "committed serve latency baseline JSON")
-		serveFactor = flag.Float64("serve-factor", 3, "maximum allowed normalized-p50 slowdown per serve path")
-		hitSpeedup  = flag.Float64("hit-speedup", 2, "minimum cold-sweep-p50 over cache-hit-p50 in the current serve JSON")
-	)
+	baseline := flag.String("baseline", "BENCH_baseline.jsonl", "committed baseline records")
+	current := flag.String("current", "", "freshly measured record")
 	flag.Parse()
-	if *current == "" && *scaling == "" && *serveCur == "" {
-		fmt.Fprintln(os.Stderr, "benchguard: at least one of -current, -scaling and -serve is required")
+	base, err := load(*baseline)
+	cur, err2 := load(*current)
+	failed := false
+	if err = errors.Join(err, err2); err == nil {
+		failed, err = check(os.Stdout, guards, base, cur)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
-	failed := false
-	if *current != "" {
-		failed = checkSolvers(*baseline, *current, *policies, *ref, *factor) || failed
-	}
-	if *scaling != "" {
-		failed = checkScaling(*scalingBase, *scaling, *effFloor, *effFactor) || failed
-	}
-	if *serveCur != "" {
-		failed = checkServe(*serveBase, *serveCur, *serveFactor, *hitSpeedup) || failed
-	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "benchguard: regression detected")
+		fmt.Fprintln(os.Stderr, "benchguard: regression against", *baseline)
 		os.Exit(1)
 	}
 }
 
-// checkSolvers runs the per-policy ns/op comparison and reports whether
-// any tracked policy regressed beyond factor.
-func checkSolvers(baseline, current, policies, ref string, factor float64) bool {
-	base, err := load(baseline)
-	if err != nil {
-		fatal(err)
+// check applies every guard to the current records against the baseline
+// records, printing one line per row to w, and reports whether any row
+// failed. An error is a missing or non-positive row.
+func check(w io.Writer, gs []guard, base, cur []record) (failed bool, err error) {
+	for _, g := range gs {
+		rows, pattern := []string{g.Row}, strings.ContainsAny(g.Row, "*?[")
+		if pattern {
+			rows = rows[:0]
+			for _, r := range cur {
+				for name := range r.Metrics {
+					if ok, _ := path.Match(g.Row, name); ok {
+						rows = append(rows, name)
+					}
+				}
+			}
+			if len(rows) == 0 {
+				return false, fmt.Errorf("no row of the current file matches %q", g.Row)
+			}
+			sort.Strings(rows)
+		}
+		for _, row := range rows {
+			c, _, err := value(cur, row, g.Ref, true)
+			if err != nil {
+				return false, fmt.Errorf("current: %w", err)
+			}
+			b, hasBase, err := value(base, row, g.Ref, !pattern)
+			if err != nil {
+				return false, fmt.Errorf("baseline: %w", err)
+			}
+			worse := c/b > g.Factor
+			if g.Better == "higher" {
+				worse = c/b < g.Factor
+			}
+			status, bs, ratio := "ok", "(no baseline)", ""
+			if hasBase && g.Factor > 0 && worse || c < g.Floor {
+				status, failed = "REGRESSED", true
+			}
+			if hasBase {
+				bs, ratio = fmt.Sprintf("%.2f", b), fmt.Sprintf("ratio %5.2f", c/b)
+			}
+			if g.Ref != "" {
+				row += " / " + g.Ref
+			}
+			fmt.Fprintf(w, "%-50s baseline %13s  current %12.2f  %-11s  %s\n", row, bs, c, ratio, status)
+		}
 	}
-	cur, err := load(current)
-	if err != nil {
-		fatal(err)
+	return failed, nil
+}
+
+// value returns row's value from the one record that holds it, divided by
+// ref's value in that same record when ref is set. A missing row is an
+// error when required, otherwise reported as absent.
+func value(recs []record, row, ref string, required bool) (float64, bool, error) {
+	var in *record
+	for i := range recs {
+		if _, ok := recs[i].Metrics[row]; ok {
+			if in != nil {
+				return 0, false, fmt.Errorf("row %q is in more than one record", row)
+			}
+			in = &recs[i]
+		}
 	}
-	baseRef, curRef := 1.0, 1.0
-	unit := "ns/op"
+	if in == nil {
+		if required {
+			return 0, false, fmt.Errorf("guarded row %q is missing", row)
+		}
+		return 0, false, nil
+	}
+	v, r := in.Metrics[row].Value, 1.0
 	if ref != "" {
-		baseRef = nsOf(base, ref, baseline)
-		curRef = nsOf(cur, ref, current)
-		unit = "x " + ref
+		r = in.Metrics[ref].Value // a reference missing from the record reads 0
 	}
-	failed := false
-	for _, p := range strings.Split(policies, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		b := nsOf(base, p, baseline) / baseRef
-		c := nsOf(cur, p, current) / curRef
-		ratio := c / b
-		status := "ok"
-		if ratio > factor {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-6s baseline %14.1f %-7s current %14.1f %-7s ratio %5.2f  %s\n",
-			p, b, unit, c, unit, ratio, status)
+	if v <= 0 || r <= 0 {
+		return 0, false, fmt.Errorf("row %q is %g, its reference %q in the same record %g", row, v, ref, r)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchguard: solver regression beyond %gx against %s\n", factor, baseline)
-	}
-	return failed
+	return v / r, true, nil
 }
 
-// checkScaling compares the current run's parallel efficiency per worker
-// count against the absolute floor and the committed baseline, and
-// reports whether any multi-worker entry regressed. Single-worker
-// entries are the serial reference (efficiency 1 by construction) and
-// are only printed.
-func checkScaling(baselinePath, currentPath string, floor, factor float64) bool {
-	base, err := loadScaling(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := loadScaling(currentPath)
-	if err != nil {
-		fatal(err)
-	}
-	baseEff := make(map[int]float64, len(base.Entries))
-	for _, e := range base.Entries {
-		baseEff[e.Workers] = e.Efficiency
-	}
-	failed := false
-	for _, e := range cur.Entries {
-		if e.Efficiency <= 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: efficiency for workers=%d in %s is %g\n",
-				e.Workers, currentPath, e.Efficiency)
-			os.Exit(2)
+// load reads every record of a file: JSON lines, or one indented record.
+func load(file string) (recs []record, err error) {
+	data, err := os.ReadFile(file)
+	for dec := json.NewDecoder(bytes.NewReader(data)); err == nil && dec.More(); {
+		var r record
+		if err = dec.Decode(&r); err == nil {
+			recs = append(recs, r)
 		}
-		if e.Workers <= 1 {
-			fmt.Printf("workers=%-3d efficiency %5.2f  (serial reference)\n", e.Workers, e.Efficiency)
-			continue
-		}
-		status := "ok"
-		limit := floor
-		if b, ok := baseEff[e.Workers]; ok && b*factor > limit {
-			limit = b * factor
-		}
-		if e.Efficiency < limit {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("workers=%-3d efficiency %5.2f  floor %5.2f  %s\n",
-			e.Workers, e.Efficiency, limit, status)
 	}
-	if len(cur.Entries) == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s has no entries\n", currentPath)
-		os.Exit(2)
-	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchguard: parallel efficiency below its floor (floor %g, %gx of %s)\n",
-			floor, factor, baselinePath)
-	}
-	return failed
-}
-
-// checkServe compares the current serve run's per-path p50 latencies,
-// normalized by each file's own ref_solve_ns, against the committed
-// baseline, and enforces the cache-hit speedup floor within the current
-// file. Reports whether anything regressed.
-func checkServe(baselinePath, currentPath string, factor, hitFloor float64) bool {
-	base, err := loadServe(baselinePath)
 	if err != nil {
-		fatal(err)
+		return nil, fmt.Errorf("reading %q: %w", file, err)
 	}
-	cur, err := loadServe(currentPath)
-	if err != nil {
-		fatal(err)
-	}
-	failed := false
-	paths := []struct {
-		name      string
-		base, cur loadReport
-	}{
-		{"solve", base.Solve, cur.Solve},
-		{"sweep_cold", base.SweepCold, cur.SweepCold},
-		{"sweep_hit", base.SweepHit, cur.SweepHit},
-	}
-	for _, p := range paths {
-		for _, f := range []struct {
-			path string
-			rep  loadReport
-		}{{baselinePath, p.base}, {currentPath, p.cur}} {
-			if f.rep.P50NS <= 0 {
-				fmt.Fprintf(os.Stderr, "benchguard: p50 for %q in %s is %g\n", p.name, f.path, f.rep.P50NS)
-				os.Exit(2)
-			}
-			if f.rep.Errors > 0 {
-				fmt.Fprintf(os.Stderr, "benchguard: %s measured %q with %d errors\n", f.path, p.name, f.rep.Errors)
-				os.Exit(2)
-			}
-		}
-		b := p.base.P50NS / base.RefSolveNS
-		c := p.cur.P50NS / cur.RefSolveNS
-		ratio := c / b
-		status := "ok"
-		if ratio > factor {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-10s baseline p50 %10.1f x ref  current p50 %10.1f x ref  ratio %5.2f  %s\n",
-			p.name, b, c, ratio, status)
-	}
-	speedup := cur.SweepCold.P50NS / cur.SweepHit.P50NS
-	status := "ok"
-	if speedup < hitFloor {
-		status = "REGRESSED"
-		failed = true
-	}
-	fmt.Printf("cache-hit speedup %5.1fx (cold p50 / hit p50)  floor %gx  %s\n", speedup, hitFloor, status)
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchguard: serve latency regression (factor %g, hit floor %gx) against %s\n",
-			factor, hitFloor, baselinePath)
-	}
-	return failed
-}
-
-// loadServe reads and sanity-checks a serve latency file.
-func loadServe(path string) (serveFile, error) {
-	var f serveFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %w", path, err)
-	}
-	if f.RefSolveNS <= 0 {
-		return f, fmt.Errorf("%s: ref_solve_ns is %g", path, f.RefSolveNS)
-	}
-	return f, nil
-}
-
-// nsOf returns the policy's ns/op from the file's rows, exiting loudly
-// when the policy is missing or non-positive.
-func nsOf(rows map[string]row, policy, path string) float64 {
-	r, ok := rows[policy]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchguard: policy %q missing from %s\n", policy, path)
-		os.Exit(2)
-	}
-	if r.NsPerOp <= 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: ns/op for %q in %s is %g\n", policy, path, r.NsPerOp)
-		os.Exit(2)
-	}
-	return r.NsPerOp
-}
-
-func load(path string) (map[string]row, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows map[string]row
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rows, nil
-}
-
-func loadScaling(path string) (scalingFile, error) {
-	var f scalingFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchguard:", err)
-	os.Exit(2)
+	return recs, nil
 }

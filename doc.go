@@ -6,7 +6,9 @@
 // The root package carries the repository-level benchmark harness
 // (bench_test.go and bench_solvers_test.go), with one benchmark per table
 // and figure of the paper's evaluation plus per-policy solver benchmarks
-// and allocation guards; the library lives under internal/ with
+// and allocation guards, and TestEmitBenchJSON (bench_record_test.go),
+// which writes one bench record for cmd/benchguard; the library lives
+// under internal/ with
 // internal/solve as its entry point: solve.Instance describes a routing
 // problem and solve.Route routes it with any policy of the registry every
 // routing family registers into (importing internal/experiments registers
@@ -45,8 +47,9 @@
 // probes of candidates that raise the overload excess. The golden figure tests pin the deterministic
 // heuristics' routings bit-for-bit, test-only reference Path-Remover,
 // XY-Improver and Improved Greedy engines pin PR, XYI and IG
-// differentially, and cmd/benchguard fails CI when IG/PR/XYI/SA ns/op
-// regresses beyond 2x the committed BENCH_solvers.json baseline.
+// differentially, and cmd/benchguard fails CI when IG/PR/XYI/SA ns/op,
+// each over the same session's XY ns/op, regresses beyond 2x the
+// committed BENCH_baseline.jsonl.
 //
 // The discrete-event NoC simulator (internal/noc) — the dynamic
 // cross-check of the analytic evaluation — runs the same dense-workspace
@@ -61,7 +64,7 @@
 // and FuzzSimVsReference pin the engine byte-identical to the historical
 // container/heap implementation it replaced. Streaming delivery observers (Simulator.Observe,
 // noc.WorkloadObserver) export observed goodput without retaining trace
-// events; the NoCSimSF/NoCSimCT rows of BENCH_solvers.json put both
+// events; the NoCSimSF/NoCSimCT rows of the bench record put both
 // switching modes under cmd/benchguard's regression tripwire.
 //
 // The routing stack is built on a topology abstraction (internal/topo):
@@ -89,7 +92,7 @@
 // per-link leakage + frequency-dependent dynamic energy integrated over
 // busy time — exported as Stats.Energy with the conservation identity
 // TotalNJ = Σ router + Σ link + Σ buffer enforced by construction and
-// test; the NoCSimEnergy row of BENCH_solvers.json guards its cost
+// test; the NoCSimEnergy row of the bench record guards its cost
 // (the counters add one slab allocation per run).
 //
 // Workload generation mirrors the policy registry: internal/scenario
@@ -119,9 +122,10 @@
 // completed points to the sinks strictly in point order, so every
 // SweepOptions.Workers count (0 = all cores) streams byte-identical
 // CSV/JSONL and the Start resume contract is unchanged.
-// BenchmarkSweepScaling feeds the committed BENCH_scaling.json
-// (speedup and parallel efficiency per worker count) and
-// cmd/benchguard -scaling fails CI when efficiency regresses.
+// BenchmarkSweepScaling measures it at 1, 2, 4 and NumCPU workers (never
+// more than NumCPU); the bench record carries the speedup and parallel
+// efficiency per worker count, and cmd/benchguard fails CI when
+// efficiency regresses.
 //
 // The same internals serve heavy traffic as a long-running service:
 // cmd/routed (internal/serve) exposes single solves on a sharded worker
@@ -133,8 +137,8 @@
 // with singleflight admission: concurrent identical submissions collapse
 // onto one execution, attachers stream the in-flight run point by point,
 // and a warm hit replays the cached bytes without touching a solver.
-// cmd/routeload load-tests the server and the committed BENCH_serve.json
-// latency baseline is guarded by cmd/benchguard -serve. See README.md
+// cmd/routeload load-tests the server, and cmd/benchguard guards the
+// bench record's endpoint latencies. See README.md
 // for the quickstart, the policy and source tables, the Spec schema,
 // the package map and the pooling contracts.
 package repro

@@ -5,8 +5,8 @@ package noc
 // pointer/container-heap reference, plus the steady-state allocation
 // guard. The reference engine only exists in this test package, so the
 // old-vs-new ratio is measured here; the repository-level BenchmarkNoCSim
-// (bench_test.go) tracks the production engine's absolute ns/op in
-// BENCH_solvers.json for cmd/benchguard.
+// (bench_test.go) times the production engine, and the root
+// TestEmitBenchJSON records its ns/op for cmd/benchguard.
 
 import (
 	"testing"

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/topo"
@@ -79,21 +78,9 @@ type Spec struct {
 	Power string `json:"power,omitempty"`
 }
 
-// ParseMesh parses a "PxQ" mesh geometry ("8x8", "16X16", "4x12").
-func ParseMesh(s string) (p, q int, err error) {
-	lo := strings.ToLower(strings.TrimSpace(s))
-	a, b, ok := strings.Cut(lo, "x")
-	if ok {
-		p, err = strconv.Atoi(strings.TrimSpace(a))
-		if err == nil {
-			q, err = strconv.Atoi(strings.TrimSpace(b))
-		}
-	}
-	if !ok || err != nil || p < 1 || q < 1 {
-		return 0, 0, fmt.Errorf("scenario: invalid mesh geometry %q (want PxQ, e.g. 8x8)", s)
-	}
-	return p, q, nil
-}
+// ParseMesh parses a "PxQ" mesh geometry ("8x8", "16X16", "4x12") of at
+// most topo.MaxCores cores.
+func ParseMesh(s string) (p, q int, err error) { return topo.ParseGrid(s) }
 
 // MeshDims returns the spec's mesh dimensions (default 8×8).
 func (s Spec) MeshDims() (p, q int, err error) {

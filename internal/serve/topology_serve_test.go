@@ -173,3 +173,30 @@ func TestSolveTopologyRejectsBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedPlatformsRejected pins the topo.MaxCores cap at the
+// service edge: a platform one row past 32×32 is a 400 on /solve and on
+// /sweep, before any routing table is built or any cache entry exists.
+func TestOversizedPlatformsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	torusComms := []SolveComm{{ID: 0, Src: [2]int{1, 1}, Dst: [2]int{3, 3}, Rate: 500}}
+	for name, req := range map[string]SolveRequest{
+		"torus": {Topology: "torus:33x32", Policy: "TABLE", Comms: torusComms},
+		"mesh":  {Mesh: "33x32", Policy: "XY", Comms: solveTestComms()},
+	} {
+		if resp, _ := postSolve(t, ts.URL, req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/solve on a %s of 33x32: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	torus, mesh := torusSpec(), torusSpec()
+	torus.Topology = "torus:33x32"
+	mesh.Topology, mesh.Mesh, mesh.Policies = "", "33x32", []string{"XY"}
+	for name, sp := range map[string]scenario.Spec{"torus": torus, "mesh": mesh} {
+		if resp, _ := postSweepRaw(t, ts.URL, sp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/sweep on a %s of 33x32: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if st := s.Stats(); st.CacheMisses != 0 || st.SweepsRun != 0 {
+		t.Errorf("rejected specs touched the cache: %+v", st)
+	}
+}

@@ -57,12 +57,13 @@ type Circulant struct {
 	hops    *rtable.NextHops
 }
 
-// New returns C(n; gens). It requires n >= 5, at least one generator,
-// and every generator distinct in [1, n/2) — the strict upper bound
-// keeps i+s and i−s distinct, so the link id mapping stays a bijection.
+// New returns C(n; gens). It requires 5 <= n <= topo.MaxCores, at least
+// one generator, and every generator distinct in [1, n/2) — the strict
+// upper bound keeps i+s and i−s distinct, so the link id mapping stays a
+// bijection.
 func New(n int, gens []int) (*Circulant, error) {
-	if n < 5 {
-		return nil, fmt.Errorf("circulant: node count %d too small (need >= 5)", n)
+	if n < 5 || n > topo.MaxCores {
+		return nil, fmt.Errorf("circulant: node count %d out of range [5, %d]", n, topo.MaxCores)
 	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("circulant: no generators")

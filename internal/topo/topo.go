@@ -173,7 +173,14 @@ func Parse(spec string) (Topology, error) {
 	return t, nil
 }
 
-// ParseGrid parses a "PxQ" grid argument with both dimensions >= 1.
+// MaxCores caps the core count of any parsed topology (32×32; the
+// largest committed platform is 16×16). Topology strings arrive in
+// untrusted requests, and the routing tables grow with the square of the
+// core count: a 200×200 torus would build 12.8 GB of them.
+const MaxCores = 1024
+
+// ParseGrid parses a "PxQ" grid argument with both dimensions >= 1 and
+// at most MaxCores cores.
 func ParseGrid(arg string) (p, q int, err error) {
 	a, b, ok := strings.Cut(strings.ToLower(strings.TrimSpace(arg)), "x")
 	if ok {
@@ -184,6 +191,10 @@ func ParseGrid(arg string) (p, q int, err error) {
 	}
 	if !ok || err != nil || p < 1 || q < 1 {
 		return 0, 0, fmt.Errorf("topo: invalid grid spec %q (want PxQ, e.g. 8x8)", arg)
+	}
+	// Each factor is checked first, so the product cannot overflow.
+	if p > MaxCores || q > MaxCores || p*q > MaxCores {
+		return 0, 0, fmt.Errorf("topo: grid %q has more than %d cores", arg, MaxCores)
 	}
 	return p, q, nil
 }
