@@ -14,6 +14,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/solve"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -186,6 +187,59 @@ func BenchmarkSolverTrialAllocs(b *testing.B) {
 			ratio, minWorkspaceAllocRatio)
 	}
 	for i := 0; i < b.N; i++ { // keep the harness happy; the guard above is the point
+	}
+}
+
+// TestMixedPlatformWorkspaceAllocs is the per-platform workspace guard:
+// one workspace alternating TABLE on a shared torus:8x8 value with a mesh
+// heuristic keeps each platform's tracker and scratch, so a warmed pair
+// allocates no more than its two solves apart, and a warmed TABLE solve
+// allocates nothing.
+func TestMixedPlatformWorkspaceAllocs(t *testing.T) {
+	tor, err := topo.Parse("torus:8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onTorus := solve.Instance{Topo: tor, Model: power.KimHorowitz(),
+		Comms: workload.New(tor.Carrier(), 1).Uniform(30, 100, 1500)}
+	onMesh := solverBenchInstance()
+	table, err := solve.Lookup("TABLE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(ws *route.Workspace, solves ...func(*route.Workspace)) float64 {
+		for _, f := range solves { // warm
+			f(ws)
+		}
+		return testing.AllocsPerRun(5, func() {
+			for _, f := range solves {
+				f(ws)
+			}
+		})
+	}
+	solver := func(s solve.Solver, in solve.Instance) func(*route.Workspace) {
+		return func(ws *route.Workspace) {
+			if _, err := s.Route(in, solve.Options{Workspace: ws}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tableAlone := allocs(route.NewWorkspace(), solver(table, onTorus))
+	if tableAlone != 0 {
+		t.Errorf("warmed TABLE on %s allocates %.0f times, want 0", tor.Spec(), tableAlone)
+	}
+	for _, name := range []string{"XYI", "PR", "IG"} {
+		s, err := solve.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := allocs(route.NewWorkspace(), solver(s, onMesh))
+		pair := allocs(route.NewWorkspace(), solver(table, onTorus), solver(s, onMesh))
+		t.Logf("TABLE(%s) + %s: %.0f allocs, apart %.0f + %.0f", tor.Spec(), name, pair, tableAlone, alone)
+		if pair > tableAlone+alone {
+			t.Errorf("TABLE(%s) + %s on one workspace allocates %.0f times, apart %.0f + %.0f",
+				tor.Spec(), name, pair, tableAlone, alone)
+		}
 	}
 }
 

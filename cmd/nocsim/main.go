@@ -68,25 +68,21 @@ func main() {
 // routing with its analytic evaluation.
 func solveOn(p, q int, topology string, n int, wmin, wmax float64, seed int64, policy string) (route.Routing, route.Result, power.Model, error) {
 	model := power.KimHorowitz()
-	var in solve.Instance
+	var tp topo.Topology
+	var err error
 	if topology != "" {
-		tp, err := topo.Parse(topology)
-		if err != nil {
-			return route.Routing{}, route.Result{}, model, err
-		}
-		in = solve.Instance{Topo: tp, Model: model,
-			Comms: workload.New(tp.Carrier(), seed).Uniform(n, wmin, wmax)}
-		if err := solve.CheckTopology([]string{policy}, tp); err != nil {
-			return route.Routing{}, route.Result{}, model, err
-		}
+		tp, err = topo.Parse(topology)
 	} else {
-		m, err := mesh.New(p, q)
-		if err != nil {
-			return route.Routing{}, route.Result{}, model, err
-		}
-		in = solve.Instance{Mesh: m, Model: model,
-			Comms: workload.New(m, seed).Uniform(n, wmin, wmax)}
+		tp, err = mesh.New(p, q)
 	}
+	if err != nil {
+		return route.Routing{}, route.Result{}, model, err
+	}
+	if err := solve.CheckTopology([]string{policy}, tp); err != nil {
+		return route.Routing{}, route.Result{}, model, err
+	}
+	in := solve.Instance{Topo: tp, Model: model,
+		Comms: workload.New(tp.Carrier(), seed).Uniform(n, wmin, wmax)}
 	if err := in.Validate(); err != nil {
 		return route.Routing{}, route.Result{}, model, err
 	}
@@ -106,7 +102,7 @@ func run(p, q int, topology string, n int, wmin, wmax float64, seed int64, polic
 	if err != nil {
 		return err
 	}
-	platform := r.Topology().Spec()
+	platform := r.Topo.Spec()
 	fmt.Printf("policy %s on %s, %d communications\n", strings.ToUpper(policy), platform, n)
 	if !res.Feasible {
 		return fmt.Errorf("routing infeasible; nothing to simulate (try another seed or policy)")

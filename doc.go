@@ -73,11 +73,20 @@
 // identifiers for flat-slice load accounting, shortest-path distances,
 // a deterministic shortest-route builder, and a Carrier() mesh over the
 // same core set so mesh-bound workload sources run on any topology. The
-// 2-D mesh is the canonical implementation and keeps its closed-form
-// fast paths (Routing, trackers, workspaces and the NoC engine all hold
-// the concrete *mesh.Mesh on mesh platforms, so mesh outputs are
-// byte-identical to the pre-abstraction code — a differential suite
-// pins this). topo/torus (wraparound mesh) and topo/circulant
+// 2-D mesh is the canonical implementation. Below solve.Instance the
+// platform is one topo.Topology value (route.Routing.Topo, the
+// workspace's bound platform, the sweep engine's and the service's); the
+// mesh keeps its closed-form fast paths through one type assertion where
+// the platform is bound, so mesh outputs are byte-identical to the
+// pre-abstraction code — a differential suite pins this. solve.Instance
+// keeps two spellings of the platform, Mesh and Topo: the paper's
+// examples and external callers set Mesh, other platforms set Topo, and
+// either may hold a mesh; Instance.Topology reads the one value, and the
+// Manhattan policy families take their mesh from it through
+// Instance.OnMesh, which names any other platform in its error. A
+// route.Workspace keeps the load tracker and policy scratch of each
+// bound platform (a small set, matched by pointer, then by Spec), so a
+// service shard alternating between a mesh and a torus rebuilds nothing. topo/torus (wraparound mesh) and topo/circulant
 // (multiplicative circulant NoCs) register themselves with topo.Parse
 // ("torus:8x8", "circulant:27:1,3,9") and route via precompiled
 // rtable next-hop tables; the TABLE policy (internal/tabroute) is their

@@ -71,7 +71,7 @@ func main() {
 			Path: route.Path{link(f), link(f + 1), link(f + 2)},
 		})
 	}
-	ring := route.Routing{Mesh: m, Flows: flows}
+	ring := route.Routing{Topo: m, Flows: flows}
 	fmt.Printf("\nhand-built ring (4 flows × 3 hops, 3.45 Gb/s per link), CDG cyclic: %v\n",
 		!deadlock.BuildCDG(ring).Acyclic())
 	run := func(buffers int, withVCs bool) {

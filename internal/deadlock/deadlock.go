@@ -21,12 +21,13 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/topo"
 )
 
 // CDG is the channel dependency graph of a routing: adjacency between
 // dense link IDs.
 type CDG struct {
-	Mesh *mesh.Mesh
+	Topo topo.Topology
 	// Next[a] lists the channels requested while holding channel a,
 	// deduplicated and sorted.
 	Next map[int][]int
@@ -37,15 +38,15 @@ func BuildCDG(r route.Routing) *CDG {
 	seen := make(map[int]map[int]bool)
 	for _, f := range r.Flows {
 		for i := 0; i+1 < len(f.Path); i++ {
-			a := r.Mesh.LinkID(f.Path[i])
-			b := r.Mesh.LinkID(f.Path[i+1])
+			a := r.Topo.LinkID(f.Path[i])
+			b := r.Topo.LinkID(f.Path[i+1])
 			if seen[a] == nil {
 				seen[a] = make(map[int]bool)
 			}
 			seen[a][b] = true
 		}
 	}
-	g := &CDG{Mesh: r.Mesh, Next: make(map[int][]int, len(seen))}
+	g := &CDG{Topo: r.Topo, Next: make(map[int][]int, len(seen))}
 	for a, succ := range seen {
 		ids := make([]int, 0, len(succ))
 		for b := range succ {
@@ -123,7 +124,7 @@ func (g *CDG) DescribeCycle(cycle []int) string {
 		if i > 0 {
 			out += " -> "
 		}
-		out += g.Mesh.LinkByID(id).String()
+		out += g.Topo.LinkByID(id).String()
 	}
 	return out + " -> (repeats)"
 }
@@ -226,15 +227,15 @@ func EscapeCDG(r route.Routing, a Assignment) *CDG {
 			if classes[i] != 0 || classes[i+1] != 0 {
 				continue
 			}
-			x := r.Mesh.LinkID(f.Path[i])
-			y := r.Mesh.LinkID(f.Path[i+1])
+			x := r.Topo.LinkID(f.Path[i])
+			y := r.Topo.LinkID(f.Path[i+1])
 			if seen[x] == nil {
 				seen[x] = make(map[int]bool)
 			}
 			seen[x][y] = true
 		}
 	}
-	g := &CDG{Mesh: r.Mesh, Next: make(map[int][]int, len(seen))}
+	g := &CDG{Topo: r.Topo, Next: make(map[int][]int, len(seen))}
 	for x, succ := range seen {
 		ids := make([]int, 0, len(succ))
 		for y := range succ {

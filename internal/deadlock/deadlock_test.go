@@ -49,7 +49,7 @@ func TestRingDeadlockDetected(t *testing.T) {
 		{Comm: c(3, 2, 2, 1, 1), Path: route.XY(mesh.Coord{U: 2, V: 2}, mesh.Coord{U: 1, V: 1})}, // W then N
 		{Comm: c(4, 2, 1, 1, 2), Path: route.YX(mesh.Coord{U: 2, V: 1}, mesh.Coord{U: 1, V: 2})}, // N then E
 	}
-	r := route.Routing{Mesh: m, Flows: flows}
+	r := route.Routing{Topo: m, Flows: flows}
 	g := BuildCDG(r)
 	cyc := g.FindCycle()
 	if cyc == nil {
@@ -108,7 +108,7 @@ func TestEscapeChannelsXYPathsAllEscape(t *testing.T) {
 func TestEscapeChannelsYXPrefixAdaptive(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 1}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.YX(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.YX(g.Src, g.Dst)}}}
 	a := EscapeChannels(r)
 	classes := a.Classes[0]
 	// YX = S,S,E,E: the vertical prefix must be adaptive, the horizontal
@@ -128,7 +128,7 @@ func TestEscapeChannelsYXPrefixAdaptive(t *testing.T) {
 func TestValidateRejectsCorrupt(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 1}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.YX(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.YX(g.Src, g.Dst)}}}
 	a := EscapeChannels(r)
 
 	bad := Assignment{Classes: [][]int{{0, 0, 0, 0}}} // vertical hops on escape, then horizontal: V→H violation
@@ -157,7 +157,7 @@ func TestValidateRejectsCorrupt(t *testing.T) {
 // Empty routings are trivially acyclic.
 func TestEmptyRouting(t *testing.T) {
 	m := mesh.MustNew(2, 2)
-	g := BuildCDG(route.Routing{Mesh: m})
+	g := BuildCDG(route.Routing{Topo: m})
 	if !g.Acyclic() {
 		t.Error("empty CDG not acyclic")
 	}

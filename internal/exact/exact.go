@@ -165,7 +165,7 @@ func (w *Workspace) Solve(m *mesh.Mesh, model power.Model, set comm.Set, opt Opt
 		if cap(w.flows) == 0 {
 			w.flows = make([]route.Flow, 0, 1)
 		}
-		return route.Routing{Mesh: m, Flows: w.flows[:0]}, true, st, nil
+		return route.Routing{Topo: m, Flows: w.flows[:0]}, true, st, nil
 	}
 
 	s0 := w.state(0)

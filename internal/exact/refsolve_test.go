@@ -50,7 +50,7 @@ func refSolve(m *mesh.Mesh, model power.Model, set comm.Set) (route.Routing, boo
 	}
 
 	b := &refBB{m: m, model: model, order: order, paths: paths,
-		loads: route.NewLoadTracker(m), bestPower: math.Inf(1)}
+		loads: route.NewLoadTrackerTopo(m), bestPower: math.Inf(1)}
 	b.choice = make([]int, len(order))
 	b.bestChoice = make([]int, len(order))
 	b.search(0)
@@ -64,7 +64,7 @@ func refSolve(m *mesh.Mesh, model power.Model, set comm.Set) (route.Routing, boo
 	for i, c := range order {
 		flows[i] = route.Flow{Comm: c, Path: paths[i][b.bestChoice[i]]}
 	}
-	return route.Routing{Mesh: m, Flows: flows}, true, nil
+	return route.Routing{Topo: m, Flows: flows}, true, nil
 }
 
 type refBB struct {
@@ -90,7 +90,7 @@ func (b *refBB) search(i int) {
 		// emptied links, which Model.Total counts as active at minimum
 		// frequency (+Pleak +Dynamic(fmin) each) — the original
 		// therefore both mis-scored and mis-ranked leaves.
-		fresh := route.NewLoadTracker(b.m)
+		fresh := route.NewLoadTrackerTopo(b.m)
 		for k, c := range b.order[:i] {
 			fresh.AddPath(b.paths[k][b.choice[k]], c.Rate)
 		}

@@ -16,11 +16,13 @@ import (
 // engine's per-worker scratch) solve without allocating; opts.ExactWorkers
 // and opts.ExactMaxStates pass through.
 func optRoute(in solve.Instance, opts solve.Options) (route.Routing, error) {
-	if err := in.Validate(); err != nil {
+	in, err := in.OnMesh("OPT")
+	if err != nil {
 		return route.Routing{}, err
 	}
 	w := NewWorkspace()
 	if opts.Workspace != nil {
+		opts.Workspace.Bind(in.Mesh)
 		w = opts.Workspace.Scratch("exact", func() any { return NewWorkspace() }).(*Workspace)
 	}
 	r, ok, _, err := w.Solve(in.Mesh, in.Model, in.Comms, Options{

@@ -393,5 +393,5 @@ func (w *Workspace) assemble() route.Routing {
 		flows = append(flows, route.Flow{Comm: c, Path: p})
 	}
 	w.flows = flows
-	return route.Routing{Mesh: w.mesh, Flows: flows}
+	return route.Routing{Topo: w.mesh, Flows: flows}
 }

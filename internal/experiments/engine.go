@@ -27,11 +27,8 @@ import (
 // at point boundaries. Completed points flow through a merge stage that
 // releases them to the sinks strictly in point order.
 type engine struct {
-	// m is the coordinate-carrier grid workload sources bind to: the
-	// platform itself for mesh specs, Topology.Carrier() otherwise.
-	m *mesh.Mesh
-	// tp is the non-mesh platform topology; nil on mesh specs, so the
-	// mesh path builds exactly the historical Instance{Mesh: e.m}.
+	// tp is the platform; workload sources bind to its Carrier() grid
+	// (a mesh is its own carrier).
 	tp    topo.Topology
 	model power.Model
 	src   scenario.Source
@@ -71,8 +68,7 @@ func Check(sp scenario.Spec) error {
 }
 
 // resolve is Check returning what it resolved: an engine holding the
-// policies' solvers and canonical names and the non-mesh platform (nil on
-// mesh specs).
+// policies' solvers and canonical names and the platform.
 func resolve(sp scenario.Spec) (*engine, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -87,6 +83,8 @@ func resolve(sp scenario.Spec) (*engine, error) {
 	}
 	e := &engine{solvers: solvers, names: canon}
 	if sp.Topology == "" {
+		p, q, _ := sp.MeshDims() // Validate parsed it
+		e.tp = mesh.MustNew(p, q)
 		return e, nil
 	}
 	if e.tp, err = topo.Parse(sp.Topology); err != nil {
@@ -114,20 +112,14 @@ func newEngine(sp scenario.Spec, meta SweepMeta) (*engine, error) {
 	if sp.Power == "continuous" {
 		e.model = power.KimHorowitzContinuous()
 	}
-	if e.tp != nil {
-		e.m = e.tp.Carrier()
-	} else {
-		p, q, _ := sp.MeshDims() // Validate parsed it
-		e.m = mesh.MustNew(p, q)
-	}
 	if e.src, err = scenario.Lookup(sp.SourceName()); err != nil {
 		return nil, err
 	}
 	for pi, x := range meta.X {
 		w := sp.At(x)
-		if _, err := e.src.Bind(e.m, w); err != nil {
+		if _, err := e.src.Bind(e.tp.Carrier(), w); err != nil {
 			return nil, fmt.Errorf("experiments: %s point %d (x=%g): source %q on %v: %w",
-				meta.ID, pi, x, e.src.Name(), e.m, err)
+				meta.ID, pi, x, e.src.Name(), e.tp.Carrier(), err)
 		}
 		e.points = append(e.points, w)
 	}
@@ -166,19 +158,10 @@ type sweepScratch struct {
 	ws      *route.Workspace
 }
 
-// platform returns the engine's routing platform: the non-mesh topology
-// when one is set, else the mesh itself.
-func (e *engine) platform() topo.Topology {
-	if e.tp != nil {
-		return e.tp
-	}
-	return e.m
-}
-
 func (e *engine) newSweepScratch(npts int) *sweepScratch {
 	return &sweepScratch{
 		drawers: make([]scenario.Drawer, npts),
-		loads:   route.NewLoadTrackerTopo(e.platform()),
+		loads:   route.NewLoadTrackerTopo(e.tp),
 		ws:      route.NewWorkspace(),
 	}
 }
@@ -190,7 +173,7 @@ func (s *sweepScratch) drawer(e *engine, pi int) scenario.Drawer {
 	if d := s.drawers[pi]; d != nil {
 		return d
 	}
-	d, err := e.src.Bind(e.m, e.points[pi])
+	d, err := e.src.Bind(e.tp.Carrier(), e.points[pi])
 	if err != nil {
 		panic(fmt.Sprintf("experiments: pre-validated bind failed: %v", err))
 	}
@@ -221,10 +204,7 @@ func (e *engine) runTrial(s *sweepScratch, panelSeed int64, pi, trial int, row [
 		return fmt.Errorf("experiments: point %d trial %d: %w", pi, trial, err)
 	}
 	s.set = set
-	in := solve.Instance{Mesh: e.m, Model: e.model, Comms: set}
-	if e.tp != nil {
-		in.Mesh, in.Topo = nil, e.tp
-	}
+	in := solve.Instance{Topo: e.tp, Model: e.model, Comms: set}
 	opts := e.opts
 	opts.Seed = seed
 	opts.Workspace = s.ws

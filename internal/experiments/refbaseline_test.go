@@ -38,11 +38,11 @@ func refBaseline(t *testing.T, sp scenario.Spec) Result {
 		var rows []instanceOutcome
 		for trial := 0; trial < sp.Trials; trial++ {
 			seed := trialSeed(sp.Seed, pi, trial)
-			set, err := scenario.DrawRandom(workload.New(e.m, 0), seed, sp.At(x), nil)
+			set, err := scenario.DrawRandom(workload.New(e.tp.Carrier(), 0), seed, sp.At(x), nil)
 			if err != nil {
 				t.Fatalf("point %d trial %d: %v", pi, trial, err)
 			}
-			in := solve.Instance{Mesh: e.m, Model: e.model, Comms: set}
+			in := solve.Instance{Topo: e.tp, Model: e.model, Comms: set}
 			row := make([]instanceOutcome, npol)
 			for si, solver := range e.solvers {
 				if si == e.bestIdx {

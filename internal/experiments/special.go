@@ -51,7 +51,7 @@ func Figure2Powers() (pxy, p1mp, p2mp float64, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	twoMP := route.Routing{Mesh: m, Flows: []route.Flow{
+	twoMP := route.Routing{Topo: m, Flows: []route.Flow{
 		{Comm: g1, Path: route.XY(g1.Src, g1.Dst)},
 		{Comm: parts[0], Path: route.XY(g2.Src, g2.Dst)},
 		{Comm: parts[1], Path: route.YX(g2.Src, g2.Dst)},
@@ -141,7 +141,7 @@ func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, err
 		ws    *route.Workspace
 	}
 	newScratch := func() *sumScratch {
-		return &sumScratch{gen: workload.New(m, 0), loads: route.NewLoadTracker(m), ws: route.NewWorkspace()}
+		return &sumScratch{gen: workload.New(m, 0), loads: route.NewLoadTrackerTopo(m), ws: route.NewWorkspace()}
 	}
 	// The flat task list runs on the sweeps' work-stealing scheduler as a
 	// single point's trial range: persistent per-worker scratch, chunked

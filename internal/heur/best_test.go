@@ -26,7 +26,7 @@ func TestBestNestedOnSharedWorkspace(t *testing.T) {
 	c := comm.Comm{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 500}
 	in := Instance{Mesh: m, Model: power.KimHorowitz(), Comms: comm.Set{c}}
 	xy := route.XY(c.Src, c.Dst) // (1,1)->(1,2)->(2,2)
-	fixed := fixedHeur{r: route.Routing{Mesh: m, Flows: []route.Flow{{Comm: c, Path: xy}}}}
+	fixed := fixedHeur{r: route.Routing{Topo: m, Flows: []route.Flow{{Comm: c, Path: xy}}}}
 
 	ws := route.NewWorkspace()
 	r, err := Best{Heuristics: []Heuristic{fixed, SA{}}}.RouteInto(in, ws)

@@ -54,7 +54,8 @@ func RouteWith(h Heuristic, in Instance, ws *route.Workspace) (route.Routing, er
 // Solve routes the instance with h and evaluates loads, feasibility and
 // power under the instance's model.
 func Solve(h Heuristic, in Instance) (route.Result, error) {
-	if err := in.Validate(); err != nil {
+	in, err := in.OnMesh(h.Name())
+	if err != nil {
 		return route.Result{}, err
 	}
 	r, err := h.Route(in)
@@ -174,5 +175,5 @@ func singlePathRouting(in Instance, ws *route.Workspace) route.Routing {
 		flows = append(flows, route.Flow{Comm: c, Path: ps.Get(c.ID)})
 	}
 	ws.SetFlows(flows)
-	return route.Routing{Mesh: in.Mesh, Flows: flows}
+	return route.Routing{Topo: in.Mesh, Flows: flows}
 }

@@ -33,7 +33,7 @@ func (st *refPRState) refreshMulti() {
 // with a forward BFS through the step DAG. check, when non-nil, sees the
 // states before every removal round.
 func refPR(m *mesh.Mesh, set comm.Set, static bool, check func([]refPRState)) (route.Routing, error) {
-	loads := route.NewLoadTracker(m)
+	loads := route.NewLoadTrackerTopo(m)
 	states := make([]refPRState, len(set))
 	users := make([][]int, m.LinkIDSpace())
 	var byLoad []mesh.Link
@@ -68,7 +68,7 @@ func refPR(m *mesh.Mesh, set comm.Set, static bool, check func([]refPRState)) (r
 			return route.Routing{}, fmt.Errorf("refPR: no removable loaded link")
 		}
 	}
-	r := route.Routing{Mesh: m}
+	r := route.Routing{Topo: m}
 	for _, st := range states {
 		var p route.Path
 		for _, step := range st.steps {

@@ -22,7 +22,8 @@ func (s heurSolver) Name() string { return s.name }
 // returned routing then aliases workspace memory per the route.Workspace
 // contract); otherwise it allocates fresh.
 func (s heurSolver) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
-	if err := in.Validate(); err != nil {
+	in, err := in.OnMesh(s.name)
+	if err != nil {
 		return route.Routing{}, err
 	}
 	return RouteWith(s.build(o), in, o.Workspace)

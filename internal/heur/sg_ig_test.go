@@ -58,7 +58,7 @@ func TestSGTieBreakHugsDiagonal(t *testing.T) {
 // leaves the tracker empty.
 func TestIdealShareRoundTrip(t *testing.T) {
 	m := mesh.MustNew(8, 8)
-	loads := route.NewLoadTracker(m)
+	loads := route.NewLoadTrackerTopo(m)
 	g := comm.Comm{ID: 0, Src: mesh.Coord{U: 2, V: 2}, Dst: mesh.Coord{U: 6, V: 5}, Rate: 1234}
 	addIdealShare(m, loads, new(heurScratch), g, +1)
 	if loads.MaxLoad() == 0 {
@@ -113,7 +113,7 @@ func TestIGSeesBeyondNextHop(t *testing.T) {
 // pre-existing load.
 func TestGreedyPathAlwaysTerminates(t *testing.T) {
 	m := mesh.MustNew(8, 8)
-	loads := route.NewLoadTracker(m)
+	loads := route.NewLoadTrackerTopo(m)
 	for _, l := range m.Links() {
 		loads.Add(l, 5000) // uniformly overloaded
 	}

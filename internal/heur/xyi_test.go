@@ -217,7 +217,7 @@ func randomSet(m *mesh.Mesh, seed int64, n int, wmin, wmax float64) comm.Set {
 func TestWatchSetRechecksExactlyTheReaders(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	var ids []int
-	tr := route.NewLoadTracker(m)
+	tr := route.NewLoadTrackerTopo(m)
 	for _, l := range m.Links() {
 		ids = append(ids, m.LinkID(l))
 		tr.Add(l, 1)

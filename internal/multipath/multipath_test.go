@@ -92,7 +92,7 @@ func TestDecomposeTheorem1(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0.0
-	loads := route.NewLoadTracker(f.Mesh)
+	loads := route.NewLoadTrackerTopo(f.Mesh)
 	for _, fl := range flows {
 		if fl.Comm.ID != 7 {
 			t.Fatalf("fragment lost ID: %v", fl.Comm)

@@ -21,7 +21,8 @@ func (s smpSolver) Name() string { return s.name }
 
 // Route implements solve.Solver.
 func (s smpSolver) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
-	if err := in.Validate(); err != nil {
+	in, err := in.OnMesh(s.name)
+	if err != nil {
 		return route.Routing{}, err
 	}
 	split := s.s

@@ -78,5 +78,5 @@ func (e EqualSplit) RouteWith(m *mesh.Mesh, model power.Model, set comm.Set, ws 
 	for i := range r.Flows {
 		r.Flows[i].Comm.ID = origID[r.Flows[i].Comm.ID]
 	}
-	return route.Routing{Mesh: m, Flows: r.Flows}, nil
+	return route.Routing{Topo: m, Flows: r.Flows}, nil
 }

@@ -71,7 +71,7 @@ func Theorem1Flow(pPrime int, k float64) (*FlowField, error) {
 // baseline of Theorem 1 (PXY = 2(p−1)·K^α under the theory model).
 func XYSingleRoute(p int, k float64, model power.Model) (power.Breakdown, error) {
 	m := mesh.MustNew(p, p)
-	loads := route.NewLoadTracker(m)
+	loads := route.NewLoadTrackerTopo(m)
 	loads.AddPath(route.XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: p, V: p}), k)
 	return loads.Power(model)
 }

@@ -22,7 +22,7 @@ import (
 func saturatedRouting() (route.Routing, power.Model) {
 	m := mesh.MustNew(8, 8)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 5}, Rate: 3500}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	return r, power.KimHorowitz()
 }
 
@@ -136,7 +136,7 @@ func TestEdgeWindows(t *testing.T) {
 // MeanUtilization over a run with no active links is 0.
 func TestMeanUtilizationNoActiveLinks(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	sim, err := New(route.Routing{Mesh: m}, power.KimHorowitz(), Config{Horizon: 100})
+	sim, err := New(route.Routing{Topo: m}, power.KimHorowitz(), Config{Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCutThroughFiniteBuffers(t *testing.T) {
 	for _, c := range set {
 		flows = append(flows, route.Flow{Comm: c, Path: route.XY(c.Src, c.Dst)})
 	}
-	r := route.Routing{Mesh: m, Flows: flows}
+	r := route.Routing{Topo: m, Flows: flows}
 	sim, err := New(r, power.KimHorowitz(), Config{
 		Horizon: 3000, Warmup: 300, Switching: CutThrough, BufferPackets: 1,
 	})

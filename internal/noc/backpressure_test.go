@@ -31,7 +31,7 @@ func ringRouting(rate float64) (route.Routing, power.Model) {
 			Path: path,
 		})
 	}
-	return route.Routing{Mesh: m, Flows: flows}, power.KimHorowitz()
+	return route.Routing{Topo: m, Flows: flows}, power.KimHorowitz()
 }
 
 // With unbounded buffers the ring workload flows freely even though its
@@ -95,7 +95,7 @@ func TestXYFlowsWithTinyBuffers(t *testing.T) {
 	for _, c := range set {
 		flows = append(flows, route.Flow{Comm: c, Path: route.XY(c.Src, c.Dst)})
 	}
-	r := route.Routing{Mesh: m, Flows: flows}
+	r := route.Routing{Topo: m, Flows: flows}
 	if !deadlock.BuildCDG(r).Acyclic() {
 		t.Fatal("XY CDG should be acyclic")
 	}

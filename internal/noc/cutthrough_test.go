@@ -16,7 +16,7 @@ import (
 func TestCutThroughLatencyFormula(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 6}, Rate: 800}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	model := power.KimHorowitz() // 800 quantizes to 1000 Mb/s
 	hops := 5.0
 	packetTime := 2048.0 / 1000.0
@@ -53,7 +53,7 @@ func TestCutThroughDominatesStoreAndForward(t *testing.T) {
 	for _, c := range set {
 		flows = append(flows, route.Flow{Comm: c, Path: route.XY(c.Src, c.Dst)})
 	}
-	r := route.Routing{Mesh: m, Flows: flows}
+	r := route.Routing{Topo: m, Flows: flows}
 	model := power.KimHorowitz()
 	run := func(sw Switching) *Stats {
 		sim, err := New(r, model, Config{Horizon: 3000, Warmup: 300, Switching: sw})
@@ -85,7 +85,7 @@ func TestCutThroughMixedFrequencies(t *testing.T) {
 	// One hot flow (2200 → 2500 Mb/s links) feeding a path segment, one
 	// cool flow sharing a link quantized lower.
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 2200}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	sim, err := New(r, power.KimHorowitz(), Config{Horizon: 2000, Warmup: 100, Switching: CutThrough})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func xyRoutingOf(m *mesh.Mesh, seed int64, n int, wmin, wmax float64) route.Rout
 	for _, c := range set {
 		flows = append(flows, route.Flow{Comm: c, Path: route.XY(c.Src, c.Dst)})
 	}
-	return route.Routing{Mesh: m, Flows: flows}
+	return route.Routing{Topo: m, Flows: flows}
 }
 
 // TestDifferentialSeededInstances pins the engines equal across ≥40

@@ -57,7 +57,7 @@ func TestEnergySinglePacket(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	model := power.KimHorowitz()
 	c := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 4}, Rate: 2}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: c, Path: route.XY(c.Src, c.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: c, Path: route.XY(c.Src, c.Dst)}}}
 	L := float64(len(r.Flows[0].Path))
 
 	cfg := Config{Horizon: 400} // period = 2048/2 = 1024 µs > horizon

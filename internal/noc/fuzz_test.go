@@ -42,12 +42,7 @@ func FuzzSimVsReference(f *testing.F) {
 			wmin, wmax = 1, 20
 		}
 		set := workload.New(tp.Carrier(), seed).Uniform(1+int(n%20), wmin, wmax)
-		r := route.Routing{Flows: make([]route.Flow, 0, len(set))}
-		if tm, ok := tp.(*mesh.Mesh); ok {
-			r.Mesh = tm
-		} else {
-			r.Topo = tp
-		}
+		r := route.Routing{Topo: tp, Flows: make([]route.Flow, 0, len(set))}
 		for _, c := range set {
 			r.Flows = append(r.Flows, route.Flow{Comm: c, Path: route.Path(tp.AppendRoute(nil, c.Src, c.Dst))})
 		}

@@ -16,7 +16,7 @@ func singleFlowRouting(t *testing.T, rate float64) (route.Routing, power.Model) 
 	t.Helper()
 	m := mesh.MustNew(8, 8)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 5}, Rate: rate}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	return r, power.KimHorowitz()
 }
 
@@ -98,7 +98,7 @@ func TestSharedLinkServesBothFlows(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	g1 := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 5}, Rate: 1200}
 	g2 := comm.Comm{ID: 2, Src: mesh.Coord{U: 1, V: 2}, Dst: mesh.Coord{U: 1, V: 6}, Rate: 1200}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{
+	r := route.Routing{Topo: m, Flows: []route.Flow{
 		{Comm: g1, Path: route.XY(g1.Src, g1.Dst)},
 		{Comm: g2, Path: route.XY(g2.Src, g2.Dst)},
 	}}
@@ -151,7 +151,7 @@ func TestHeuristicRoutingDeliversWorkload(t *testing.T) {
 func TestMultiPathAggregation(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	g := comm.Comm{ID: 9, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 4}, Rate: 2000}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{
+	r := route.Routing{Topo: m, Flows: []route.Flow{
 		{Comm: comm.Comm{ID: 9, Src: g.Src, Dst: g.Dst, Rate: 1000}, Path: route.XY(g.Src, g.Dst)},
 		{Comm: comm.Comm{ID: 9, Src: g.Src, Dst: g.Dst, Rate: 1000}, Path: route.YX(g.Src, g.Dst)},
 	}}

@@ -7,7 +7,7 @@ package noc
 // Stats, same delivery sequence — across the differential matrix in
 // differential_test.go. Do not "modernize" this copy: its value is that it
 // is the old control flow, allocation by allocation. Link ids and router
-// coordinates go through Routing.Topology(), so torus and circulant
+// coordinates go through Routing.Topo, so torus and circulant
 // routings replay on it too (on a mesh routing that is the mesh itself).
 
 import (
@@ -110,20 +110,20 @@ type refSimulator struct {
 func refNew(r route.Routing, model power.Model, cfg Config) (*refSimulator, error) {
 	cfg.setDefaults()
 	loads := r.Loads()
-	links := make([]refLinkState, r.Topology().LinkIDSpace())
+	links := make([]refLinkState, r.Topo.LinkIDSpace())
 	for id, load := range loads {
 		if load == 0 {
 			continue
 		}
 		f, err := model.Quantize(load)
 		if err != nil {
-			return nil, fmt.Errorf("noc: link %v: %w", r.Topology().LinkByID(id), err)
+			return nil, fmt.Errorf("noc: link %v: %w", r.Topo.LinkByID(id), err)
 		}
 		links[id].freq = f
 	}
 	return &refSimulator{routing: r, model: model, cfg: cfg, links: links,
-		routerE: make([]float64, r.Topology().NumCores()),
-		bufferE: make([]float64, r.Topology().LinkIDSpace()),
+		routerE: make([]float64, r.Topo.NumCores()),
+		bufferE: make([]float64, r.Topo.LinkIDSpace()),
 	}, nil
 }
 
@@ -190,7 +190,7 @@ func (s *refSimulator) arrive(q *refEventQueue, st *Stats, pkt *refPacket, now f
 		st.deliver(fl.Comm.ID, pkt.injected, pkt.bits, now)
 		return
 	}
-	id := s.routing.Topology().LinkID(fl.Path[pkt.hop])
+	id := s.routing.Topo.LinkID(fl.Path[pkt.hop])
 	class := s.classOf(pkt.flow, pkt.hop)
 	if pkt.hop > 0 {
 		s.bufferE[id] += s.cfg.BufferPJPerBit * pkt.bits * 1e-3
@@ -208,7 +208,7 @@ func (s *refSimulator) nextHopTarget(pkt *refPacket) (link, class int) {
 	if pkt.hop+1 >= len(fl.Path) {
 		return -1, 0
 	}
-	return s.routing.Topology().LinkID(fl.Path[pkt.hop+1]), s.classOf(pkt.flow, pkt.hop+1)
+	return s.routing.Topo.LinkID(fl.Path[pkt.hop+1]), s.classOf(pkt.flow, pkt.hop+1)
 }
 
 func (s *refSimulator) hasRoom(id, class int) bool {
@@ -253,8 +253,8 @@ func (s *refSimulator) startNext(q *refEventQueue, id int, now float64) {
 		}
 		s.wakeWaiters(q, id, class, now)
 	}
-	src := s.routing.Topology().LinkByID(id).From
-	s.routerE[s.routing.Topology().CoordIndex(src)] += s.cfg.RouterPJPerBit * pkt.bits * 1e-3
+	src := s.routing.Topo.LinkByID(id).From
+	s.routerE[s.routing.Topo.CoordIndex(src)] += s.cfg.RouterPJPerBit * pkt.bits * 1e-3
 	tx := pkt.bits / ls.freq
 	done := now + tx
 	if s.cfg.Switching == CutThrough {

@@ -9,7 +9,7 @@ package noc
 import "repro/internal/route"
 
 func newStats(r route.Routing, cfg Config) *Stats {
-	space := r.Topology().LinkIDSpace()
+	space := r.Topo.LinkIDSpace()
 	st := &Stats{
 		Horizon:         cfg.Horizon,
 		Warmup:          cfg.Warmup,

@@ -304,7 +304,7 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 	s.bound, s.ran = false, false
 	s.tracer, s.observe = nil, nil
 
-	tp := r.Topology()
+	tp := r.Topo
 	if tp == nil {
 		return fmt.Errorf("noc: routing has no platform")
 	}

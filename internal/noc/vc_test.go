@@ -39,7 +39,7 @@ func minimalCycleRouting(rate float64) (route.Routing, power.Model) {
 		// NE: N,N,E — holds left-N requesting top-E.
 		mk(4, mesh.Coord{U: 6, V: 4}, mesh.Coord{U: 5, V: 4}, mesh.Coord{U: 4, V: 4}, mesh.Coord{U: 4, V: 5}),
 	}
-	return route.Routing{Mesh: m, Flows: flows}, power.KimHorowitz()
+	return route.Routing{Topo: m, Flows: flows}, power.KimHorowitz()
 }
 
 // The minimal cycle instance passes full Manhattan validation and has a

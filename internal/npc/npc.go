@@ -170,7 +170,7 @@ func (r *Reduction) RoutingFromPartition(subset []int) (route.Routing, error) {
 	for _, g := range r.Comms[r.N:] {
 		flows = append(flows, route.Flow{Comm: g, Path: route.XY(g.Src, g.Dst)})
 	}
-	return route.Routing{Mesh: r.Mesh, Flows: flows}, nil
+	return route.Routing{Topo: r.Mesh, Flows: flows}, nil
 }
 
 // descendAt returns the Manhattan path from src (row 1) to dst (row 2,

@@ -14,7 +14,8 @@ import (
 // (possibly discrete) model, so quantization costs appear in the reported
 // power. Options.FWMaxIters and Options.FWTolerance bound the solve.
 func maxMPRoute(in solve.Instance, o solve.Options) (route.Routing, error) {
-	if err := in.Validate(); err != nil {
+	in, err := in.OnMesh("MAXMP")
+	if err != nil {
 		return route.Routing{}, err
 	}
 	sol, err := SolveWith(in.Mesh, in.Model, in.Comms,
@@ -34,7 +35,7 @@ func maxMPRoute(in solve.Instance, o solve.Options) (route.Routing, error) {
 		}
 		flows = append(flows, part...)
 	}
-	return route.Routing{Mesh: in.Mesh, Flows: flows}, nil
+	return route.Routing{Topo: in.Mesh, Flows: flows}, nil
 }
 
 func init() {

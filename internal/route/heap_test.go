@@ -15,7 +15,7 @@ import (
 func TestLoadHeapMatchesSortedScan(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	rng := rand.New(rand.NewSource(42))
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	for _, l := range m.Links() {
 		switch rng.Intn(3) {
 		case 0: // idle
@@ -72,7 +72,7 @@ func wantOrder(m *mesh.Mesh, tr *LoadTracker) []int {
 func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 	m := mesh.MustNew(5, 5)
 	rng := rand.New(rand.NewSource(7))
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	links := m.Links()
 	for _, l := range links {
 		if rng.Intn(2) == 0 {
@@ -124,7 +124,7 @@ func TestLoadHeapOneEntryPerLoadedLink(t *testing.T) {
 	links := m.Links()
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewLoadTracker(m)
+		tr := NewLoadTrackerTopo(m)
 		for _, l := range links {
 			if rng.Intn(3) == 0 {
 				tr.Add(l, float64(rng.Intn(5)+1))
@@ -188,7 +188,7 @@ func TestLoadHeapOneEntryPerLoadedLink(t *testing.T) {
 // cross each link, sorted ascending, through includes and excludes.
 func TestIncidenceIndex(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	tr.EnableIncidence()
 	a := XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 1, V: 4}) // row 1 east
 	b := XY(mesh.Coord{U: 1, V: 2}, mesh.Coord{U: 1, V: 4}) // overlaps a
@@ -238,7 +238,7 @@ func TestIncidenceIndex(t *testing.T) {
 func TestAggregateDriftAndResync(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	ev := power.Compile(power.KimHorowitz())
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	tr.Observe(ev)
 
 	fresh := func() (float64, float64) {

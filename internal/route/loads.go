@@ -60,19 +60,19 @@ type loadEntry struct {
 	load float64
 }
 
-// NewLoadTracker returns an empty tracker for the mesh.
-func NewLoadTracker(m *mesh.Mesh) *LoadTracker {
-	return &LoadTracker{mesh: m, topo: m, loads: make([]float64, m.LinkIDSpace())}
+// NewLoadTrackerTopo returns an empty tracker for the platform.
+func NewLoadTrackerTopo(tp topo.Topology) *LoadTracker {
+	t := &LoadTracker{loads: make([]float64, tp.LinkIDSpace())}
+	t.bind(tp)
+	return t
 }
 
-// NewLoadTrackerTopo returns an empty tracker for any topology. A mesh
-// argument yields exactly NewLoadTracker (the fast-path fields are set
-// whenever the platform is a mesh).
-func NewLoadTrackerTopo(tp topo.Topology) *LoadTracker {
-	if m, ok := tp.(*mesh.Mesh); ok {
-		return NewLoadTracker(m)
-	}
-	return &LoadTracker{topo: tp, loads: make([]float64, tp.LinkIDSpace())}
+// bind points the tracker at tp, which must share the link id space of
+// the platform it was built for; a mesh keeps the hot loops on its
+// closed-form link ids.
+func (t *LoadTracker) bind(tp topo.Topology) {
+	t.topo = tp
+	t.mesh, _ = tp.(*mesh.Mesh)
 }
 
 // linkID resolves a link's dense id on the tracked platform.

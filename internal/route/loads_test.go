@@ -10,7 +10,7 @@ import (
 
 func TestLoadTrackerAddRemove(t *testing.T) {
 	m := mesh.MustNew(3, 3)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	tr.Add(l, 100)
 	tr.Add(l, 50)
@@ -31,7 +31,7 @@ func TestLoadTrackerAddRemove(t *testing.T) {
 
 func TestLoadTrackerPanicsOnLargeNegative(t *testing.T) {
 	m := mesh.MustNew(3, 3)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	defer func() {
 		if recover() == nil {
@@ -43,11 +43,11 @@ func TestLoadTrackerPanicsOnLargeNegative(t *testing.T) {
 
 func TestLoadTrackerAddPathAndClone(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	p := XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 3, V: 4})
 	tr.AddPath(p, 10)
 	// A second tracker on the same mesh holds its own loads.
-	clone := NewLoadTracker(m)
+	clone := NewLoadTrackerTopo(m)
 	clone.AddPath(p, 10)
 	clone.AddPath(p, 5)
 	for _, l := range p {
@@ -66,7 +66,7 @@ func TestLoadTrackerAddPathAndClone(t *testing.T) {
 
 func TestLinksByLoadDesc(t *testing.T) {
 	m := mesh.MustNew(3, 3)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	l1 := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	l2 := mesh.Link{From: mesh.Coord{U: 2, V: 1}, To: mesh.Coord{U: 2, V: 2}}
 	l3 := mesh.Link{From: mesh.Coord{U: 3, V: 1}, To: mesh.Coord{U: 3, V: 2}}
@@ -81,7 +81,7 @@ func TestLinksByLoadDesc(t *testing.T) {
 
 func TestLinksByLoadDescDeterministicTies(t *testing.T) {
 	m := mesh.MustNew(3, 3)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	for _, l := range m.Links()[:6] {
 		tr.Add(l, 7)
 	}
@@ -97,7 +97,7 @@ func TestLinksByLoadDescDeterministicTies(t *testing.T) {
 func TestDeltaPowerAndLinkPowerWith(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	ev := power.Compile(power.Figure2()) // P = load³, BW 4
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	tr.Add(l, 1)
 	if got := tr.LinkPowerWithEv(ev, l, 1); math.Abs(got-8) > 1e-9 {
@@ -119,10 +119,10 @@ func TestTrackerPowerMatchesEvaluate(t *testing.T) {
 	m := grid()
 	model := power.KimHorowitz()
 	g := c(1, 1, 1, 5, 6, 900)
-	r := Routing{Mesh: m, Flows: []Flow{{Comm: g, Path: XY(g.Src, g.Dst)}}}
+	r := Routing{Topo: m, Flows: []Flow{{Comm: g, Path: XY(g.Src, g.Dst)}}}
 	res := Evaluate(r, model)
 
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	tr.AddPath(XY(g.Src, g.Dst), 900)
 	b, err := tr.Power(model)
 	if err != nil {

@@ -19,28 +19,11 @@ type Flow struct {
 	Path Path
 }
 
-// Routing is a complete routing of a communication set on a platform.
-// Mesh routings (the paper's setting, and the overwhelmingly common
-// case) set Mesh; routings on other topologies leave Mesh nil and set
-// Topo. Exactly one of the two should be non-nil — Topology() is the
-// uniform accessor.
+// Routing is a complete routing of a communication set on a platform:
+// the paper's mesh or any other topology.
 type Routing struct {
-	Mesh  *mesh.Mesh
 	Topo  topo.Topology
 	Flows []Flow
-}
-
-// Topology returns the platform the routing lives on: Topo when set,
-// else the mesh. The mesh keeps its dedicated field so the hot paths
-// below can stay on the devirtualized closed-form link ids.
-func (r Routing) Topology() topo.Topology {
-	if r.Topo != nil {
-		return r.Topo
-	}
-	if r.Mesh != nil {
-		return r.Mesh
-	}
-	return nil
 }
 
 // Validate checks the routing against the original communication set:
@@ -90,12 +73,12 @@ func (r Routing) Validate(orig comm.Set, maxPaths int) error {
 // agreement against the topology — shortest-ness is a solver property,
 // not a Routing invariant, off the mesh.
 func (r Routing) validatePath(p Path, src, dst mesh.Coord) error {
-	if r.Mesh != nil {
-		return p.Validate(r.Mesh, src, dst)
-	}
 	tp := r.Topo
+	if m, ok := tp.(*mesh.Mesh); ok {
+		return p.Validate(m, src, dst)
+	}
 	if tp == nil {
-		return fmt.Errorf("route: routing has neither mesh nor topology")
+		return fmt.Errorf("route: routing has no platform")
 	}
 	if len(p) == 0 {
 		return fmt.Errorf("route: empty path for %v->%v", src, dst)
@@ -131,29 +114,6 @@ func (r Routing) Loads() []float64 {
 // like the package's other *Into forms) — the buffer-reusing read path for
 // hot evaluation loops.
 func (r Routing) LoadsInto(dst []float64) []float64 {
-	if r.Mesh == nil {
-		return r.loadsIntoTopo(dst)
-	}
-	n := r.Mesh.LinkIDSpace()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	for _, f := range r.Flows {
-		for _, l := range f.Path {
-			dst[r.Mesh.LinkID(l)] += f.Comm.Rate
-		}
-	}
-	return dst
-}
-
-// loadsIntoTopo is LoadsInto for non-mesh routings, accumulating
-// through the topology's interface link ids.
-func (r Routing) loadsIntoTopo(dst []float64) []float64 {
 	n := r.Topo.LinkIDSpace()
 	if cap(dst) < n {
 		dst = make([]float64, n)

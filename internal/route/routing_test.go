@@ -23,7 +23,7 @@ func TestFigure2Powers(t *testing.T) {
 	g1 := c(1, 1, 1, 2, 2, 1)
 	g2 := c(2, 1, 1, 2, 2, 3)
 
-	xy := Routing{Mesh: m, Flows: []Flow{
+	xy := Routing{Topo: m, Flows: []Flow{
 		{Comm: g1, Path: XY(g1.Src, g1.Dst)},
 		{Comm: g2, Path: XY(g2.Src, g2.Dst)},
 	}}
@@ -32,7 +32,7 @@ func TestFigure2Powers(t *testing.T) {
 		t.Fatalf("XY power = %g (feasible=%v), want 128", res.Power.Total(), res.Feasible)
 	}
 
-	mp1 := Routing{Mesh: m, Flows: []Flow{
+	mp1 := Routing{Topo: m, Flows: []Flow{
 		{Comm: g1, Path: XY(g1.Src, g1.Dst)},
 		{Comm: g2, Path: YX(g2.Src, g2.Dst)},
 	}}
@@ -46,7 +46,7 @@ func TestFigure2Powers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp2 := Routing{Mesh: m, Flows: []Flow{
+	mp2 := Routing{Topo: m, Flows: []Flow{
 		{Comm: g1, Path: XY(g1.Src, g1.Dst)},
 		{Comm: parts[0], Path: XY(g2.Src, g2.Dst)},
 		{Comm: parts[1], Path: YX(g2.Src, g2.Dst)},
@@ -66,7 +66,7 @@ func TestFigure2Powers(t *testing.T) {
 func TestValidateCatchesRateMismatch(t *testing.T) {
 	m := mesh.MustNew(3, 3)
 	g := c(1, 1, 1, 2, 2, 10)
-	r := Routing{Mesh: m, Flows: []Flow{
+	r := Routing{Topo: m, Flows: []Flow{
 		{Comm: comm.Comm{ID: 1, Src: g.Src, Dst: g.Dst, Rate: 6}, Path: XY(g.Src, g.Dst)},
 	}}
 	if err := r.Validate(comm.Set{g}, 0); err == nil {
@@ -77,13 +77,13 @@ func TestValidateCatchesRateMismatch(t *testing.T) {
 func TestValidateCatchesUnknownAndMissing(t *testing.T) {
 	m := mesh.MustNew(3, 3)
 	g := c(1, 1, 1, 2, 2, 10)
-	unknown := Routing{Mesh: m, Flows: []Flow{
+	unknown := Routing{Topo: m, Flows: []Flow{
 		{Comm: c(9, 1, 1, 2, 2, 10), Path: XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 2, V: 2})},
 	}}
 	if err := unknown.Validate(comm.Set{g}, 0); err == nil {
 		t.Error("unknown flow id accepted")
 	}
-	missing := Routing{Mesh: m}
+	missing := Routing{Topo: m}
 	if err := missing.Validate(comm.Set{g}, 0); err == nil {
 		t.Error("uncovered communication accepted")
 	}
@@ -92,7 +92,7 @@ func TestValidateCatchesUnknownAndMissing(t *testing.T) {
 func TestValidateCatchesWrongEndpoints(t *testing.T) {
 	m := mesh.MustNew(3, 3)
 	g := c(1, 1, 1, 2, 2, 10)
-	r := Routing{Mesh: m, Flows: []Flow{
+	r := Routing{Topo: m, Flows: []Flow{
 		{Comm: c(1, 1, 1, 3, 3, 10), Path: XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 3, V: 3})},
 	}}
 	if err := r.Validate(comm.Set{g}, 0); err == nil {
@@ -120,7 +120,7 @@ func TestLoadConservation(t *testing.T) {
 			}
 			flows = append(flows, Flow{Comm: g, Path: p})
 		}
-		r := Routing{Mesh: m, Flows: flows}
+		r := Routing{Topo: m, Flows: flows}
 		loads := r.Loads()
 		sum := 0.0
 		for _, l := range loads {
@@ -135,7 +135,7 @@ func TestLoadConservation(t *testing.T) {
 func TestEvaluateInfeasible(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	g := c(1, 1, 1, 2, 2, 10) // exceeds BW=4 of the Figure 2 model
-	r := Routing{Mesh: m, Flows: []Flow{{Comm: g, Path: XY(g.Src, g.Dst)}}}
+	r := Routing{Topo: m, Flows: []Flow{{Comm: g, Path: XY(g.Src, g.Dst)}}}
 	res := Evaluate(r, power.Figure2())
 	if res.Feasible || res.Err == nil {
 		t.Fatal("overloaded routing reported feasible")

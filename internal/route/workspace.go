@@ -2,7 +2,6 @@ package route
 
 import (
 	"repro/internal/comm"
-	"repro/internal/mesh"
 	"repro/internal/topo"
 )
 
@@ -26,15 +25,30 @@ import (
 //     allocate-fresh behavior: results are bit-for-bit identical either
 //     way, only the allocation profile changes.
 //
+// Platform state is kept per bound platform: the load tracker and every
+// policy scratch value of each of the last maxPlatforms platforms stay
+// pooled, so a worker that alternates between platforms (a service shard
+// answering mesh and torus requests) rebuilds nothing on a switch.
+//
 // The zero value is ready to use after Bind.
 type Workspace struct {
-	// mesh is the bound mesh (nil when the workspace is bound to a
-	// non-mesh topology); topo is the bound platform in either case.
-	mesh    *mesh.Mesh
+	// cur is the bound platform's state; platforms holds every kept one,
+	// most recently bound first, cur included.
+	cur       *platformState
+	platforms []*platformState
+	paths     PathSet
+	flows     []Flow
+}
+
+// maxPlatforms caps the platforms a workspace keeps state for; binding
+// one more drops the least recently bound.
+const maxPlatforms = 4
+
+// platformState is the pooled state of one bound platform.
+type platformState struct {
 	topo    topo.Topology
+	spec    string
 	tracker *LoadTracker
-	paths   PathSet
-	flows   []Flow
 	scratch map[string]any
 }
 
@@ -42,52 +56,50 @@ type Workspace struct {
 // platform of the first solver call that uses it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Bind prepares the workspace for solving on m. Binding to a mesh of the
-// same dimensions keeps all pooled state (the common case: repeated trials
-// on one platform); changing dimensions resizes the dense buffers and
-// drops policy scratch, since it is sized to the link/core ID spaces.
-func (w *Workspace) Bind(m *mesh.Mesh) {
-	if w.mesh != nil && w.mesh.P() == m.P() && w.mesh.Q() == m.Q() {
-		w.mesh = m
-		w.topo = m
-		w.tracker.mesh = m
-		w.tracker.topo = m
+// Bind prepares the workspace for solving on tp. A platform bound before
+// is matched by pointer, or else by its canonical Spec (identical core
+// set and link id space), and gets its pooled tracker and scratch back;
+// a new one gets fresh state, dropping the least recently bound platform
+// when maxPlatforms are kept.
+func (w *Workspace) Bind(tp topo.Topology) {
+	if w.cur != nil && w.cur.topo == tp {
 		return
 	}
-	w.mesh = m
-	w.topo = m
-	w.tracker = NewLoadTracker(m)
-	w.scratch = nil
+	i := w.find(func(ps *platformState) bool { return ps.topo == tp })
+	if i < 0 {
+		spec := tp.Spec()
+		if i = w.find(func(ps *platformState) bool { return ps.spec == spec }); i >= 0 {
+			w.platforms[i].topo = tp
+			w.platforms[i].tracker.bind(tp)
+		} else {
+			if len(w.platforms) == maxPlatforms {
+				w.platforms = w.platforms[:maxPlatforms-1]
+			}
+			w.platforms = append(w.platforms, &platformState{topo: tp, spec: spec, tracker: NewLoadTrackerTopo(tp)})
+			i = len(w.platforms) - 1
+		}
+	}
+	w.cur = w.platforms[i]
+	copy(w.platforms[1:i+1], w.platforms[:i])
+	w.platforms[0] = w.cur
 }
 
-// BindTopo prepares the workspace for solving on any topology — the
-// generalization of Bind with the same pooling rule: binding to a
-// topology with the same Spec (hence identical core set and link id
-// space) keeps all pooled state, anything else rebuilds the dense
-// buffers and drops policy scratch. A mesh argument behaves exactly
-// like Bind.
-func (w *Workspace) BindTopo(tp topo.Topology) {
-	if m, ok := tp.(*mesh.Mesh); ok {
-		w.Bind(m)
-		return
+// find returns the index of the first kept platform matching, or -1.
+func (w *Workspace) find(match func(*platformState) bool) int {
+	for i, ps := range w.platforms {
+		if match(ps) {
+			return i
+		}
 	}
-	if w.topo != nil && w.mesh == nil && w.topo.Spec() == tp.Spec() {
-		w.topo = tp
-		w.tracker.topo = tp
-		return
-	}
-	w.mesh = nil
-	w.topo = tp
-	w.tracker = NewLoadTrackerTopo(tp)
-	w.scratch = nil
+	return -1
 }
 
 // Tracker returns the workspace's pooled LoadTracker, reset to all-zero
 // loads. Each solver call works against a freshly reset tracker; nested
 // users (BEST re-running a candidate) simply reset again.
 func (w *Workspace) Tracker() *LoadTracker {
-	w.tracker.Reset()
-	return w.tracker
+	w.cur.tracker.Reset()
+	return w.cur.tracker
 }
 
 // Paths returns the workspace's dense per-communication path store.
@@ -111,16 +123,17 @@ func (w *Workspace) SetFlows(f []Flow) { w.flows = f }
 // building it on first use. Policy packages keep fully typed scratch
 // structs (frontier buffers, bitset pools, arenas) here, so the workspace
 // stays generic while every family gets zero-allocation reuse. Scratch
-// values are dropped when the workspace rebinds to different mesh
-// dimensions — they must be sized to the bound mesh only.
+// values belong to the bound platform: each kept platform has its own, so
+// they may be sized to it.
 func (w *Workspace) Scratch(key string, build func() any) any {
-	if w.scratch == nil {
-		w.scratch = make(map[string]any)
+	ps := w.cur
+	if ps.scratch == nil {
+		ps.scratch = make(map[string]any)
 	}
-	s, ok := w.scratch[key]
+	s, ok := ps.scratch[key]
 	if !ok {
 		s = build()
-		w.scratch[key] = s
+		ps.scratch[key] = s
 	}
 	return s
 }
@@ -225,5 +238,5 @@ func (r Routing) Clone() Routing {
 		f.Path = f.Path.Clone()
 		flows[i] = f
 	}
-	return Routing{Mesh: r.Mesh, Topo: r.Topo, Flows: flows}
+	return Routing{Topo: r.Topo, Flows: flows}
 }

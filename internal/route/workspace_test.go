@@ -39,36 +39,45 @@ func TestPathSetSetCopyDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestWorkspaceBindKeepsStateOnSameDims(t *testing.T) {
+func TestWorkspaceKeepsStatePerPlatform(t *testing.T) {
 	ws := NewWorkspace()
+	scratch := func() any { return ws.Scratch("x", func() any { return new(int) }) }
 	m1 := mesh.MustNew(4, 6)
 	ws.Bind(m1)
-	tr := ws.Tracker()
-	got := ws.Scratch("x", func() any { return new(int) })
-	m2 := mesh.MustNew(4, 6) // same dims, different mesh value
+	tr, got := ws.Tracker(), scratch()
+	m2 := mesh.MustNew(4, 6) // same Spec, different mesh value
 	ws.Bind(m2)
-	if ws.Tracker() != tr {
-		t.Error("same-dims rebind replaced the tracker")
+	if ws.Tracker() != tr || scratch() != got {
+		t.Error("same-Spec rebind replaced the platform's state")
 	}
 	if ws.Tracker().mesh != m2 {
 		t.Error("rebind did not repoint the tracker's mesh")
 	}
-	if ws.Scratch("x", func() any { return new(int) }) != got {
-		t.Error("same-dims rebind dropped scratch")
+	other := mesh.MustNew(6, 4)
+	ws.Bind(other)
+	if scratch() == got || ws.Tracker().mesh.Q() != 4 {
+		t.Error("a new platform shares the previous platform's state")
 	}
-	ws.Bind(mesh.MustNew(6, 4)) // dims change
-	if ws.Scratch("x", func() any { return new(int) }) == got {
-		t.Error("dims change kept stale scratch")
+	ws.Bind(m2)
+	if ws.Tracker() != tr || scratch() != got {
+		t.Error("switching back dropped the platform's state")
 	}
-	if n := ws.Tracker().mesh.Q(); n != 4 {
-		t.Errorf("tracker not resized: Q=%d", n)
+	for i := 0; i < maxPlatforms; i++ { // push m2 out
+		ws.Bind(mesh.MustNew(2, 2+i))
+	}
+	if len(ws.platforms) != maxPlatforms {
+		t.Errorf("workspace keeps %d platforms, cap %d", len(ws.platforms), maxPlatforms)
+	}
+	ws.Bind(m2)
+	if ws.Tracker() == tr {
+		t.Error("the least recently bound platform was not dropped at the cap")
 	}
 }
 
 func TestRoutingCloneIsDeep(t *testing.T) {
 	m := mesh.MustNew(3, 3)
 	p := XY(mesh.Coord{U: 1, V: 1}, mesh.Coord{U: 3, V: 3})
-	r := Routing{Mesh: m, Flows: []Flow{{Comm: comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 5}, Path: p}}}
+	r := Routing{Topo: m, Flows: []Flow{{Comm: comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 5}, Path: p}}}
 	cp := r.Clone()
 	p[0] = mesh.Link{From: mesh.Coord{U: 2, V: 2}, To: mesh.Coord{U: 2, V: 3}}
 	if cp.Flows[0].Path[0] == p[0] {
@@ -78,7 +87,7 @@ func TestRoutingCloneIsDeep(t *testing.T) {
 
 func TestLoadsIntoAndView(t *testing.T) {
 	m := mesh.MustNew(3, 3)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	l := mesh.Link{From: mesh.Coord{U: 1, V: 1}, To: mesh.Coord{U: 1, V: 2}}
 	tr.Add(l, 42)
 	view := tr.LoadsView()
@@ -88,7 +97,7 @@ func TestLoadsIntoAndView(t *testing.T) {
 	if &view[0] != &tr.loads[0] {
 		t.Error("LoadsView copied")
 	}
-	r := Routing{Mesh: m, Flows: []Flow{{Comm: comm.Comm{ID: 0, Src: l.From, Dst: l.To, Rate: 7}, Path: Path{l}}}}
+	r := Routing{Topo: m, Flows: []Flow{{Comm: comm.Comm{ID: 0, Src: l.From, Dst: l.To, Rate: 7}, Path: Path{l}}}}
 	dst := make([]float64, m.LinkIDSpace())
 	dst[0] = 99 // stale: LoadsInto must zero it
 	dst = r.LoadsInto(dst)
@@ -99,7 +108,7 @@ func TestLoadsIntoAndView(t *testing.T) {
 
 func TestLinksByLoadDescIntoMatchesFresh(t *testing.T) {
 	m := mesh.MustNew(5, 5)
-	tr := NewLoadTracker(m)
+	tr := NewLoadTrackerTopo(m)
 	for i, l := range m.Links() {
 		tr.Add(l, float64((i*7)%13)) // duplicates exercise the id tiebreak
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/topo"
 )
 
 // Port is a router output: one of the four mesh directions or the local
@@ -63,7 +64,7 @@ type FlowKey struct {
 
 // Tables is the complete table-based routing configuration of a mesh.
 type Tables struct {
-	Mesh *mesh.Mesh
+	Topo topo.Topology
 	// entries[core][key] = output port.
 	entries map[mesh.Coord]map[FlowKey]Port
 }
@@ -71,7 +72,7 @@ type Tables struct {
 // Build compiles a routing into per-router tables. Every flow contributes
 // one entry per traversed router plus a LOCAL entry at its sink.
 func Build(r route.Routing) (*Tables, error) {
-	t := &Tables{Mesh: r.Mesh, entries: make(map[mesh.Coord]map[FlowKey]Port)}
+	t := &Tables{Topo: r.Topo, entries: make(map[mesh.Coord]map[FlowKey]Port)}
 	pathIdx := make(map[int]int)
 	for _, f := range r.Flows {
 		key := FlowKey{CommID: f.Comm.ID, PathIndex: pathIdx[f.Comm.ID]}
@@ -140,7 +141,7 @@ func (t *Tables) Verify(r route.Routing) error {
 				return fmt.Errorf("rtable: %+v diverges at %v: table %v, path hop %v", key, cur, port, want)
 			}
 			cur = want.To
-			if hop > t.Mesh.NumLinks() {
+			if hop > t.Topo.NumLinks() {
 				return fmt.Errorf("rtable: %+v walk did not terminate", key)
 			}
 		}

@@ -61,7 +61,7 @@ func TestMultiPathTables(t *testing.T) {
 func TestLookupAndLocalEjection(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	g := comm.Comm{ID: 7, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 2}, Rate: 100}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	tables, err := Build(r)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestLookupAndLocalEjection(t *testing.T) {
 func TestVerifyCatchesTampering(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 1}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: route.XY(g.Src, g.Dst)}}}
 	tables, err := Build(r)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 func TestBuildRejectsEmptyPath(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	g := comm.Comm{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 2}, Rate: 1}
-	r := route.Routing{Mesh: m, Flows: []route.Flow{{Comm: g, Path: nil}}}
+	r := route.Routing{Topo: m, Flows: []route.Flow{{Comm: g, Path: nil}}}
 	if _, err := Build(r); err == nil {
 		t.Error("empty path accepted")
 	}

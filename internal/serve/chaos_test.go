@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/heur"
 	"repro/internal/route"
 	"repro/internal/scenario"
 	"repro/internal/solve"
@@ -111,7 +110,7 @@ func (stallSolver) Route(in solve.Instance, opts solve.Options) (route.Routing, 
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return heur.RouteWith(heur.XY{}, heur.Instance(in), opts.Workspace)
+	return solve.Route("XY", in, opts)
 }
 
 var stallOnce = func() func() { // registered lazily, once, like the other test solvers

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,11 +161,7 @@ type Server struct {
 	sem      chan struct{} // MaxSweeps tokens
 	next     atomic.Uint64 // round-robin shard cursor
 
-	meshMu sync.RWMutex
-	meshes map[[2]int]*mesh.Mesh
-
-	topoMu sync.RWMutex
-	topos  map[string]topo.Topology
+	platforms platformCache
 
 	solves       atomic.Uint64
 	solveRejects atomic.Uint64
@@ -179,12 +176,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		cache:  newSweepCache(cfg.CacheEntries),
-		sem:    make(chan struct{}, cfg.MaxSweeps),
-		meshes: make(map[[2]int]*mesh.Mesh),
-		topos:  make(map[string]topo.Topology),
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		cache: newSweepCache(cfg.CacheEntries),
+		sem:   make(chan struct{}, cfg.MaxSweeps),
 	}
 	s.shards = make([]*shard, cfg.SolveShards)
 	for i := range s.shards {
@@ -260,57 +255,90 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// meshFor parses and caches the mesh geometry, so every request on one
-// platform shares one mesh (and therefore one pooled tracker per shard).
-func (s *Server) meshFor(spec string) (*mesh.Mesh, error) {
-	if spec == "" {
-		spec = "8x8"
+// maxPlatforms caps the server's platform cache.
+const maxPlatforms = 64
+
+// platformCache is the server's one cache of parsed platforms, so every
+// request on one platform shares one value: the shards' workspaces match
+// it by pointer and keep their pooled state for it. An entry is keyed by
+// the request's spelling with case and surrounding space folded (which
+// parsing ignores), spellings of one canonical Spec share one value, and
+// at most maxPlatforms entries are kept, the oldest dropped first.
+type platformCache struct {
+	mu    sync.RWMutex
+	byKey map[string]topo.Topology
+	order []string // keys, oldest first
+}
+
+// get returns the platform spelled spelling, building it with parse on
+// a miss.
+func (c *platformCache) get(spelling string, parse func(string) (topo.Topology, error)) (topo.Topology, error) {
+	key := strings.ToLower(strings.TrimSpace(spelling))
+	c.mu.RLock()
+	tp := c.byKey[key]
+	c.mu.RUnlock()
+	if tp != nil {
+		return tp, nil
 	}
+	parsed, err := parse(spelling)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if tp := c.byKey[key]; tp != nil {
+		return tp, nil
+	}
+	spec := parsed.Spec()
+	for _, tp := range c.byKey {
+		if tp.Spec() == spec {
+			parsed = tp
+			break
+		}
+	}
+	if c.byKey == nil {
+		c.byKey = make(map[string]topo.Topology)
+	}
+	if len(c.order) == maxPlatforms {
+		delete(c.byKey, c.order[0])
+		c.order = append(c.order[:0], c.order[1:]...)
+	}
+	c.byKey[key] = parsed
+	c.order = append(c.order, key)
+	return parsed, nil
+}
+
+// platformFor resolves a /solve request's platform: the mesh field
+// ("PxQ", default 8x8), or the topology field, which may not name a mesh.
+func (s *Server) platformFor(req *SolveRequest) (topo.Topology, error) {
+	if req.Topology == "" {
+		spec := req.Mesh
+		if spec == "" {
+			spec = "8x8"
+		}
+		tp, err := s.platforms.get(spec, parseMesh)
+		if _, ok := tp.(*mesh.Mesh); err == nil && !ok {
+			_, err = parseMesh(spec) // a topology cached under this spelling
+		}
+		return tp, err
+	}
+	if req.Mesh != "" {
+		return nil, fmt.Errorf("serve: both mesh %q and topology %q set — a mesh platform uses the mesh field alone", req.Mesh, req.Topology)
+	}
+	tp, err := s.platforms.get(req.Topology, topo.Parse)
+	if err == nil && tp.Name() == "mesh" {
+		return nil, fmt.Errorf("serve: topology %q is a mesh — spell it in the mesh field", req.Topology)
+	}
+	return tp, err
+}
+
+// parseMesh builds the mesh of a "PxQ" geometry.
+func parseMesh(spec string) (topo.Topology, error) {
 	p, q, err := scenario.ParseMesh(spec)
 	if err != nil {
 		return nil, err
 	}
-	key := [2]int{p, q}
-	s.meshMu.RLock()
-	m := s.meshes[key]
-	s.meshMu.RUnlock()
-	if m != nil {
-		return m, nil
-	}
-	s.meshMu.Lock()
-	defer s.meshMu.Unlock()
-	if m = s.meshes[key]; m == nil {
-		m = mesh.MustNew(p, q)
-		s.meshes[key] = m
-	}
-	return m, nil
-}
-
-// topoFor parses and caches a non-mesh topology spec string, so every
-// request on one platform shares one topology value — which keys the
-// shards' pooled trackers and the pooled workspace rebinding by its
-// canonical Spec string.
-func (s *Server) topoFor(spec string) (topo.Topology, error) {
-	s.topoMu.RLock()
-	t := s.topos[spec]
-	s.topoMu.RUnlock()
-	if t != nil {
-		return t, nil
-	}
-	parsed, err := topo.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	if parsed.Name() == "mesh" {
-		return nil, fmt.Errorf("serve: topology %q is a mesh — spell it in the mesh field", spec)
-	}
-	s.topoMu.Lock()
-	defer s.topoMu.Unlock()
-	if cached := s.topos[spec]; cached != nil {
-		return cached, nil
-	}
-	s.topos[spec] = parsed
-	return parsed, nil
+	return mesh.MustNew(p, q), nil
 }
 
 // modelFor resolves the power model names the scenario specs use.
@@ -420,27 +448,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var (
-		m  *mesh.Mesh
-		tp topo.Topology
-	)
-	if req.Topology != "" {
-		if req.Mesh != "" {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("serve: both mesh %q and topology %q set — a mesh platform uses the mesh field alone", req.Mesh, req.Topology))
-			return
-		}
-		var err error
-		if tp, err = s.topoFor(req.Topology); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		var err error
-		if m, err = s.meshFor(req.Mesh); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
+	tp, err := s.platformFor(&req)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	model, err := modelFor(req.Power)
 	if err != nil {
@@ -452,7 +463,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if tp != nil && !solve.Supports(solver, tp) {
+	if !solve.Supports(solver, tp) {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("serve: policy %s routes meshes only, not %s", solver.Name(), tp.Spec()))
 		return
@@ -471,7 +482,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Rate: c.Rate,
 		}
 	}
-	in := solve.Instance{Mesh: m, Topo: tp, Model: model, Comms: set}
+	in := solve.Instance{Topo: tp, Model: model, Comms: set}
 	if err := in.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

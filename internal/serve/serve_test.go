@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/experiments"
-	"repro/internal/heur"
 	"repro/internal/mesh"
 	"repro/internal/route"
 	"repro/internal/scenario"
@@ -38,9 +37,7 @@ func (countingSolver) Route(in solve.Instance, opts solve.Options) (route.Routin
 	if d := solveDelay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	return solve.Func{PolicyName: "CXY", RouteFunc: func(in solve.Instance, opts solve.Options) (route.Routing, error) {
-		return heur.RouteWith(heur.XY{}, heur.Instance(in), opts.Workspace)
-	}}.Route(in, opts)
+	return solve.Route("XY", in, opts)
 }
 
 var registerOnce sync.Once
@@ -418,7 +415,7 @@ func (blockingSolver) Name() string { return "BLOCKTEST" }
 func (blockingSolver) Route(in solve.Instance, opts solve.Options) (route.Routing, error) {
 	blockStarted <- struct{}{}
 	<-blockRelease
-	return heur.RouteWith(heur.XY{}, heur.Instance(in), opts.Workspace)
+	return solve.Route("XY", in, opts)
 }
 
 // TestSolveBackpressure503 pins the latency guardrail: with one shard,

@@ -42,8 +42,8 @@ type solveOutcome struct {
 
 // shard is one worker of the solve pool: a queue and a goroutine that
 // permanently owns its pooled scratch — the dense route.Workspace (with
-// the compiled power.Evaluator cached inside it), one LoadTracker per
-// mesh geometry seen, and a noc.Workspace for replay requests. Nothing is
+// the compiled power.Evaluator and a LoadTracker per platform kept
+// inside it) and a noc.Workspace for replay requests. Nothing is
 // reallocated across requests; a request's cost is the solve itself plus
 // the HTTP/JSON rim.
 type shard struct {
@@ -54,32 +54,12 @@ type shard struct {
 
 // shardScratch is the worker's permanent state.
 type shardScratch struct {
-	ws       *route.Workspace
-	trackers map[string]*route.LoadTracker
-	nocWS    *noc.Workspace
+	ws    *route.Workspace
+	nocWS *noc.Workspace
 }
 
 func newShardScratch() *shardScratch {
-	return &shardScratch{
-		ws:       route.NewWorkspace(),
-		trackers: make(map[string]*route.LoadTracker),
-		nocWS:    noc.NewWorkspace(),
-	}
-}
-
-// tracker returns the scratch's load tracker for the instance's platform,
-// creating it on the first request that uses the topology. The key is the
-// topology's canonical Spec string ("mesh:8x8", "torus:8x8", ...), so one
-// tracker serves every request on one platform, mesh or not.
-func (sc *shardScratch) tracker(in solve.Instance) *route.LoadTracker {
-	tp := in.Topology()
-	key := tp.Spec()
-	t, ok := sc.trackers[key]
-	if !ok {
-		t = route.NewLoadTrackerTopo(tp)
-		sc.trackers[key] = t
-	}
-	return t
+	return &shardScratch{ws: route.NewWorkspace(), nocWS: noc.NewWorkspace()}
 }
 
 // run executes one job on the worker's scratch.
@@ -90,7 +70,10 @@ func (sc *shardScratch) run(job *solveJob) solveOutcome {
 	if err != nil {
 		return solveOutcome{err: err}
 	}
-	t := sc.tracker(job.in)
+	// The routing is evaluated with the workspace's tracker for the
+	// platform; the solve is done with it, and SetRouting resets it.
+	sc.ws.Bind(job.in.Topology())
+	t := sc.ws.Tracker()
 	t.SetRouting(r)
 	bd, ok := t.Evaluate(job.in.Model)
 	out := solveOutcome{feasible: ok, bd: bd}

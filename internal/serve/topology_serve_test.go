@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -198,5 +200,46 @@ func TestOversizedPlatformsRejected(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheMisses != 0 || st.SweepsRun != 0 {
 		t.Errorf("rejected specs touched the cache: %+v", st)
+	}
+}
+
+// TestPlatformCacheBounded pins the server's one platform cache: spelling
+// variants of a platform share one entry and one value, and cap + 1
+// distinct platforms leave the cache at the cap, with every answer
+// unchanged by the eviction.
+func TestPlatformCacheBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{SolveShards: 2})
+	comms := []SolveComm{{ID: 0, Src: [2]int{1, 1}, Dst: [2]int{1, 2}, Rate: 500}}
+	answer := func(req SolveRequest) SolveResponse {
+		t.Helper()
+		resp, got := postSolve(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d", req, resp.StatusCode)
+		}
+		return got
+	}
+	want := answer(SolveRequest{Topology: "torus:8x8", Policy: "TABLE", Comms: comms})
+	for _, spelling := range []string{"torus:8X8", " torus:8x8"} {
+		if got := answer(SolveRequest{Topology: spelling, Policy: "TABLE", Comms: comms}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: answer %+v, want %+v", spelling, got, want)
+		}
+	}
+	if n := len(s.platforms.byKey); n != 1 {
+		t.Errorf("three spellings of torus:8x8 hold %d cache entries, want 1", n)
+	}
+
+	first := SolveRequest{Mesh: "2x2", Policy: "XY", Comms: comms}
+	wantFirst := answer(first)
+	for i := 0; i < maxPlatforms-1; i++ { // cap + 1 distinct platforms with the torus
+		answer(SolveRequest{Mesh: fmt.Sprintf("2x%d", 3+i), Policy: "XY", Comms: comms})
+	}
+	if n := len(s.platforms.byKey); n != maxPlatforms {
+		t.Errorf("cache holds %d platforms after %d distinct ones, cap %d", n, maxPlatforms+1, maxPlatforms)
+	}
+	if got := answer(first); !reflect.DeepEqual(got, wantFirst) {
+		t.Errorf("answer after eviction %+v, want %+v", got, wantFirst)
+	}
+	if got := answer(SolveRequest{Topology: "torus:8x8", Policy: "TABLE", Comms: comms}); !reflect.DeepEqual(got, want) {
+		t.Errorf("torus answer after eviction %+v, want %+v", got, want)
 	}
 }

@@ -37,10 +37,10 @@ import (
 var ErrStopped = errors.New("solve: stopped by Options.Stop")
 
 // Instance is one routing problem: a CMP platform, a link power model,
-// and the communication set to route. The platform is either the
-// paper's mesh (Mesh set, Topo nil — the common case, and the only one
-// the Manhattan policy families accept) or any other topology (Topo
-// set, Mesh nil). Topology() is the uniform accessor.
+// and the communication set to route. The platform is one value with two
+// spellings: Mesh, the paper's mesh, and Topo, any topology (a mesh
+// included). Set either; Topology reads the platform whichever spelling
+// holds it, and an instance routes the same under both.
 type Instance struct {
 	Mesh  *mesh.Mesh
 	Topo  topo.Topology
@@ -61,19 +61,32 @@ func (in Instance) Topology() topo.Topology {
 
 // Validate checks the instance for well-formedness.
 func (in Instance) Validate() error {
-	if in.Mesh == nil && in.Topo == nil {
+	tp := in.Topology()
+	if tp == nil {
 		return fmt.Errorf("solve: nil mesh and nil topology")
 	}
-	if in.Mesh != nil && in.Topo != nil && in.Mesh != in.Topo {
+	if in.Mesh != nil && in.Topo != nil && tp != topo.Topology(in.Mesh) {
 		return fmt.Errorf("solve: both Mesh and Topo set on instance")
 	}
 	if err := in.Model.Validate(); err != nil {
 		return err
 	}
-	if in.Mesh != nil {
-		return in.Comms.Validate(in.Mesh)
+	return in.Comms.ValidateOn(tp)
+}
+
+// OnMesh validates the instance for a policy that routes meshes only and
+// returns it with its platform in the Mesh spelling, which those policies
+// read. Any other platform is an error naming it.
+func (in Instance) OnMesh(policy string) (Instance, error) {
+	if err := in.Validate(); err != nil {
+		return in, err
 	}
-	return in.Comms.ValidateOn(in.Topo)
+	m, ok := in.Topology().(*mesh.Mesh)
+	if !ok {
+		return in, fmt.Errorf("solve: policy %s routes meshes only, not %s", policy, in.Topo.Spec())
+	}
+	in.Mesh, in.Topo = m, nil
+	return in, nil
 }
 
 // Options carries every tunable a policy may consume. The zero value is
@@ -186,15 +199,15 @@ func Route(policy string, in Instance, opts Options) (route.Routing, error) {
 	return s.Route(in, opts)
 }
 
-// TopologyAware marks a Solver that accepts instances on any topology
-// (Instance.Topo set). Solvers without the marker are Manhattan/mesh
-// policies: they may only be given mesh instances. The marker is a
+// TopologyAware marks a Solver that accepts instances on any topology.
+// Solvers without the marker are Manhattan/mesh policies: they may only
+// be given mesh instances, and return an error on any other. The marker is a
 // static capability declaration, so callers can reject a policy/
 // topology mismatch before drawing workloads or caching sweep keys.
 type TopologyAware interface {
 	Solver
 	// RoutesTopologies reports (statically) that Route understands
-	// Instance.Topo.
+	// non-mesh platforms.
 	RoutesTopologies() bool
 }
 

@@ -14,9 +14,6 @@
 package tabroute
 
 import (
-	"fmt"
-
-	"repro/internal/mesh"
 	"repro/internal/route"
 	"repro/internal/solve"
 )
@@ -33,45 +30,27 @@ func (Solver) Name() string { return "TABLE" }
 func (Solver) RoutesTopologies() bool { return true }
 
 // Route implements solve.Solver: one table route per communication, in
-// set order.
+// set order. Without a caller's workspace it routes into a fresh one.
 func (Solver) Route(in solve.Instance, opts solve.Options) (route.Routing, error) {
+	if err := in.Validate(); err != nil {
+		return route.Routing{}, err
+	}
 	tp := in.Topology()
-	if tp == nil {
-		return route.Routing{}, fmt.Errorf("tabroute: instance has no platform")
-	}
 	ws := opts.Workspace
-	var (
-		ps    *route.PathSet
-		flows []route.Flow
-	)
-	if ws != nil {
-		ws.BindTopo(tp)
-		ps = ws.Paths()
-		ps.ResetFor(in.Comms)
-		flows = ws.Flows(len(in.Comms))
-	} else {
-		flows = make([]route.Flow, 0, len(in.Comms))
+	if ws == nil {
+		ws = route.NewWorkspace()
 	}
+	ws.Bind(tp)
+	ps := ws.Paths()
+	ps.ResetFor(in.Comms)
+	flows := ws.Flows(len(in.Comms))
 	for _, c := range in.Comms {
-		var p route.Path
-		if ps != nil {
-			p = route.Path(tp.AppendRoute(ps.Acquire(c.ID, tp.Distance(c.Src, c.Dst)), c.Src, c.Dst))
-			ps.Set(c.ID, p)
-		} else {
-			p = route.Path(tp.AppendRoute(make([]mesh.Link, 0, tp.Distance(c.Src, c.Dst)), c.Src, c.Dst))
-		}
+		p := route.Path(tp.AppendRoute(ps.Acquire(c.ID, tp.Distance(c.Src, c.Dst)), c.Src, c.Dst))
+		ps.Set(c.ID, p)
 		flows = append(flows, route.Flow{Comm: c, Path: p})
 	}
-	if ws != nil {
-		ws.SetFlows(flows)
-	}
-	r := route.Routing{Flows: flows}
-	if m, ok := tp.(*mesh.Mesh); ok {
-		r.Mesh = m
-	} else {
-		r.Topo = tp
-	}
-	return r, nil
+	ws.SetFlows(flows)
+	return route.Routing{Topo: tp, Flows: flows}, nil
 }
 
 var _ solve.TopologyAware = Solver{}

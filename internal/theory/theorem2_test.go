@@ -62,7 +62,7 @@ func TestTheorem2Inequalities(t *testing.T) {
 		}
 
 		// Measured XY power.
-		loads := route.NewLoadTracker(m)
+		loads := route.NewLoadTrackerTopo(m)
 		for _, c := range set {
 			loads.AddPath(route.XY(c.Src, c.Dst), c.Rate)
 		}

@@ -47,8 +47,8 @@ func Lemma2Powers(pPrime int, alpha float64) (pxy, pyx float64, err error) {
 		return 0, 0, err
 	}
 	model := power.Theory(alpha)
-	xyLoads := route.NewLoadTracker(m)
-	yxLoads := route.NewLoadTracker(m)
+	xyLoads := route.NewLoadTrackerTopo(m)
+	yxLoads := route.NewLoadTrackerTopo(m)
 	for _, c := range set {
 		xyLoads.AddPath(route.XY(c.Src, c.Dst), c.Rate)
 		yxLoads.AddPath(route.YX(c.Src, c.Dst), c.Rate)

@@ -6,11 +6,15 @@
 package repro_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -37,12 +41,19 @@ func loadsHash(loads []float64) uint64 {
 }
 
 // TestMeshViaTopologyDifferential routes every registered policy on a
-// small mesh over several seeds and re-reads each routing through the
-// Topology spelling (Topo set, Mesh nil). Loads, validation and power
-// evaluation must be bit-identical between the two spellings — the
-// interface seam may not perturb a single bit of mesh arithmetic.
+// small mesh over several seeds under both spellings of the platform
+// (Instance.Mesh and Instance.Topo holding the same mesh). Routings,
+// loads, validation and power evaluation must be bit-identical between
+// the two — the interface seam may not perturb a single bit of mesh
+// arithmetic. On a torus, every policy without topology support must
+// return an error, never panic, and every policy must reject a
+// coordinate outside the platform with the instance's validation error.
 func TestMeshViaTopologyDifferential(t *testing.T) {
 	m := mesh.MustNew(4, 4)
+	tor, err := topo.Parse("torus:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	model := power.KimHorowitz()
 	policies := solve.Policies()
 	sort.Strings(policies)
@@ -57,42 +68,49 @@ func TestMeshViaTopologyDifferential(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 4; seed++ {
 			set := workload.New(m, seed).Uniform(6, 100, 900)
-			in := solve.Instance{Mesh: m, Model: model, Comms: set}
-			r, err := s.Route(in, solve.Options{})
+			direct, err := s.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+			viaTopo, errTopo := s.Route(solve.Instance{Topo: m, Model: model, Comms: set}, solve.Options{})
+			if (err == nil) != (errTopo == nil) {
+				t.Fatalf("%s seed %d: errors differ between spellings: %v vs %v", name, seed, err, errTopo)
+			}
 			if err != nil {
 				continue // infeasible seeds are not this test's concern
 			}
 			routed++
-			direct := route.Routing{Mesh: m, Flows: r.Flows}
-			viaTopo := route.Routing{Topo: m, Flows: r.Flows}
-
-			dl := direct.LoadsInto(nil)
-			vl := viaTopo.LoadsInto(nil)
-			if len(dl) != len(vl) {
-				t.Fatalf("%s seed %d: load vector lengths differ: %d vs %d", name, seed, len(dl), len(vl))
+			if direct.Topo != topo.Topology(m) || viaTopo.Topo != topo.Topology(m) {
+				t.Fatalf("%s seed %d: routings not on the instance's mesh: %v, %v", name, seed, direct.Topo, viaTopo.Topo)
 			}
-			for i := range dl {
-				if dl[i] != vl[i] {
-					t.Errorf("%s seed %d: link %d load differs through Topology: %g vs %g",
-						name, seed, i, dl[i], vl[i])
-				}
+			if !reflect.DeepEqual(direct.Flows, viaTopo.Flows) {
+				t.Errorf("%s seed %d: routing differs between spellings:\n%v\n%v", name, seed, direct.Flows, viaTopo.Flows)
 			}
+			dl, vl := direct.LoadsInto(nil), viaTopo.LoadsInto(nil)
 			if loadsHash(dl) != loadsHash(vl) {
 				t.Errorf("%s seed %d: load hashes diverge between spellings", name, seed)
 			}
 			if err := direct.Validate(set, 0); err != nil {
-				t.Errorf("%s seed %d: direct mesh validation failed: %v", name, seed, err)
-			}
-			if err := viaTopo.Validate(set, 0); err != nil {
-				t.Errorf("%s seed %d: via-Topology validation failed: %v", name, seed, err)
+				t.Errorf("%s seed %d: validation failed: %v", name, seed, err)
 			}
 			dres, vres := route.Evaluate(direct, model), route.Evaluate(viaTopo, model)
-			if dres.Feasible != vres.Feasible ||
-				dres.Power.Static != vres.Power.Static ||
-				dres.Power.Dynamic != vres.Power.Dynamic ||
-				dres.Power.ActiveLinks != vres.Power.ActiveLinks {
-				t.Errorf("%s seed %d: evaluation differs through Topology: %+v vs %+v",
+			if dres.Feasible != vres.Feasible || dres.Power != vres.Power {
+				t.Errorf("%s seed %d: evaluation differs between spellings: %+v vs %+v",
 					name, seed, dres.Power, vres.Power)
+			}
+		}
+
+		set := workload.New(tor.Carrier(), 1).Uniform(6, 100, 900)
+		if !solve.Supports(s, tor) {
+			for _, ws := range []*route.Workspace{nil, route.NewWorkspace()} {
+				_, err := routeNoPanic(t, s, solve.Instance{Topo: tor, Model: model, Comms: set}, ws)
+				if err == nil || !strings.Contains(err.Error(), tor.Spec()) {
+					t.Errorf("%s on %s: err = %v, want an error naming the platform", name, tor.Spec(), err)
+				}
+			}
+		}
+		outside := append(comm.Set{{ID: 99, Src: mesh.Coord{U: 0, V: 0}, Dst: mesh.Coord{U: 1, V: 1}, Rate: 100}}, set...)
+		want := comm.Set(outside).ValidateOn(tor)
+		for _, ws := range []*route.Workspace{nil, route.NewWorkspace()} {
+			if _, err := routeNoPanic(t, s, solve.Instance{Topo: tor, Model: model, Comms: outside}, ws); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s on %s with an outside coordinate: err = %v, want %v", name, tor.Spec(), err, want)
 			}
 		}
 	}
@@ -101,9 +119,21 @@ func TestMeshViaTopologyDifferential(t *testing.T) {
 	}
 }
 
+// routeNoPanic routes in with s, reporting a panic as a test failure.
+func routeNoPanic(t *testing.T, s solve.Solver, in solve.Instance, ws *route.Workspace) (r route.Routing, err error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("%s on %s panicked: %v", s.Name(), in.Topology().Spec(), p)
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return s.Route(in, solve.Options{Workspace: ws})
+}
+
 // TestTableEqualsXYOnMesh pins TABLE's documented mesh behavior: on a
-// mesh instance it is exactly the XY routing, path for path, and the
-// returned routing stays on the devirtualized Mesh field.
+// mesh instance it is exactly the XY routing, path for path, on the
+// instance's mesh.
 func TestTableEqualsXYOnMesh(t *testing.T) {
 	m := mesh.MustNew(6, 5)
 	model := power.KimHorowitz()
@@ -113,9 +143,8 @@ func TestTableEqualsXYOnMesh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if r.Mesh == nil || r.Topo != nil {
-			t.Fatalf("seed %d: TABLE on a mesh must return a Mesh routing, got Mesh=%v Topo=%v",
-				seed, r.Mesh, r.Topo)
+		if r.Topo != topo.Topology(m) {
+			t.Fatalf("seed %d: TABLE on a mesh must return a routing on that mesh, got %v", seed, r.Topo)
 		}
 		if len(r.Flows) != len(set) {
 			t.Fatalf("seed %d: %d flows for %d communications", seed, len(r.Flows), len(set))
