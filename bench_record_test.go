@@ -168,9 +168,9 @@ func nocSimLoop(t *testing.T, cfg noc.Config) func(b *testing.B) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 8).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-	if err != nil || !res.Feasible {
-		t.Fatalf("NoC bench setup: err=%v feasible=%v", err, res.Feasible)
+	res := solveEval(t, heur.PR{}, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+	if !res.Feasible {
+		t.Fatalf("NoC bench setup: infeasible: %v", res.Err)
 	}
 	ws := noc.NewWorkspace()
 	return func(b *testing.B) {

@@ -265,9 +265,9 @@ func BenchmarkNoCSimEnergy(b *testing.B) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 8).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-	if err != nil || !res.Feasible {
-		b.Fatalf("energy bench setup: err=%v feasible=%v", err, res.Feasible)
+	res := solveEval(b, heur.PR{}, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+	if !res.Feasible {
+		b.Fatalf("energy bench setup: infeasible: %v", res.Err)
 	}
 	ws := noc.NewWorkspace()
 	cfg := nocEnergyBenchConfig()

@@ -20,7 +20,9 @@ import (
 	"repro/internal/npc"
 	"repro/internal/optflow"
 	"repro/internal/power"
+	"repro/internal/route"
 	"repro/internal/scenario"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -203,9 +205,9 @@ func BenchmarkNoCSim(b *testing.B) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 8).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-	if err != nil || !res.Feasible {
-		b.Fatalf("setup: err=%v feasible=%v", err, res.Feasible)
+	res := solveEval(b, heur.PR{}, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+	if !res.Feasible {
+		b.Fatalf("setup: infeasible: %v", res.Err)
 	}
 	for _, sw := range []noc.Switching{noc.StoreAndForward, noc.CutThrough} {
 		b.Run(sw.String(), func(b *testing.B) {
@@ -280,6 +282,16 @@ func BenchmarkPanelTrialAllocs(b *testing.B) {
 	}
 }
 
+// solveEval routes the instance with s under o and evaluates the routing.
+func solveEval(tb testing.TB, s solve.Solver, in solve.Instance, o solve.Options) route.Result {
+	tb.Helper()
+	r, err := s.Route(in, o)
+	if err != nil {
+		tb.Fatalf("%s: %v", s.Name(), err)
+	}
+	return route.Evaluate(r, in.Model)
+}
+
 func relErr(got, want float64) float64 {
 	d := got - want
 	if d < 0 {
@@ -320,10 +332,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
 				set := workload.New(m, int64(i)).Uniform(60, 100, 1500)
-				res, err := heur.Solve(heur.TB{Order: order}, heur.Instance{Mesh: m, Model: model, Comms: set})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := solveEval(b, heur.TB{}, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{Order: order})
 				total++
 				if !res.Feasible {
 					fails++
@@ -348,10 +357,7 @@ func BenchmarkAblationPRShares(b *testing.B) {
 			fails := 0
 			for i := 0; i < b.N; i++ {
 				set := workload.New(m, int64(i)).Uniform(80, 100, 1500)
-				res, err := heur.Solve(tc.h, heur.Instance{Mesh: m, Model: model, Comms: set})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := solveEval(b, tc.h, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 				if !res.Feasible {
 					fails++
 				}
@@ -385,13 +391,11 @@ func BenchmarkHeuristics(b *testing.B) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 1).Uniform(100, 100, 1500)
-	in := heur.Instance{Mesh: m, Model: model, Comms: set}
-	for _, h := range heur.All() {
+	in := solve.Instance{Mesh: m, Model: model, Comms: set}
+	for _, h := range []solve.Solver{heur.XY{}, heur.SG{}, heur.IG{}, heur.TB{}, heur.XYI{}, heur.PR{}} {
 		b.Run(h.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := heur.Solve(h, in); err != nil {
-					b.Fatal(err)
-				}
+				solveEval(b, h, in, solve.Options{})
 			}
 		})
 	}
@@ -407,10 +411,7 @@ func BenchmarkOptimalityGap(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
 		set := workload.New(m, int64(i)).Uniform(30, 100, 1500)
-		res, err := heur.Solve(heur.Best{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := solveEval(b, heur.Best{}, solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 		sol, err := optflow.SolveWith(m, model, set, optflow.Options{MaxIters: 150}, nil)
 		if err != nil {
 			b.Fatal(err)

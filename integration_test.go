@@ -149,11 +149,7 @@ func TestWorkloadRoundTripStability(t *testing.T) {
 	set := workload.New(m, 31).Uniform(12, 100, 2000)
 
 	solve := func(s comm.Set) float64 {
-		res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Power.Total()
+		return solveEval(t, heur.PR{}, solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: s}, solve.Options{}).Power.Total()
 	}
 	before := solve(set)
 

@@ -9,12 +9,13 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
-func routeAll(t *testing.T, h heur.Heuristic, m *mesh.Mesh, set comm.Set) route.Routing {
+func routeAll(t *testing.T, h solve.Solver, m *mesh.Mesh, set comm.Set) route.Routing {
 	t.Helper()
-	r, err := h.Route(heur.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set})
+	r, err := h.Route(solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRingDeadlockDetected(t *testing.T) {
 // the assignment passes validation, for every heuristic.
 func TestEscapeChannelsCertifyAllHeuristics(t *testing.T) {
 	m := mesh.MustNew(8, 8)
-	for _, h := range heur.All() {
+	for _, h := range []solve.Solver{heur.XY{}, heur.SG{}, heur.IG{}, heur.TB{}, heur.XYI{}, heur.PR{}} {
 		for seed := int64(0); seed < 4; seed++ {
 			set := workload.New(m, 100+seed).Uniform(30, 100, 1500)
 			r := routeAll(t, h, m, set)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -71,12 +72,13 @@ func TestHeuristicsNeverBeatOptimum(t *testing.T) {
 		if lb := IdealShareLowerBound(m, model, set); opt.Power.Total() < lb-1e-6 {
 			t.Fatalf("seed %d: optimum %g beats lower bound %g", seed, opt.Power.Total(), lb)
 		}
-		in := heur.Instance{Mesh: m, Model: model, Comms: set}
-		for _, h := range heur.All() {
-			res, err := heur.Solve(h, in)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		for _, h := range []solve.Solver{heur.XY{}, heur.SG{}, heur.IG{}, heur.TB{}, heur.XYI{}, heur.PR{}} {
+			r, err := h.Route(in, solve.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := route.Evaluate(r, model)
 			if res.Feasible && res.Power.Total() < opt.Power.Total()-1e-6 {
 				t.Fatalf("seed %d: %s power %g beats optimum %g",
 					seed, h.Name(), res.Power.Total(), opt.Power.Total())
@@ -99,10 +101,11 @@ func TestBestWithinFactorOfOptimum(t *testing.T) {
 			continue
 		}
 		opt := route.Evaluate(r, model)
-		res, err := heur.Solve(heur.Best{}, heur.Instance{Mesh: m, Model: model, Comms: set})
+		best, err := heur.Best{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := route.Evaluate(best, model)
 		if !res.Feasible {
 			t.Fatalf("seed %d: optimum feasible but BEST failed", seed)
 		}

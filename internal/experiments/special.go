@@ -32,11 +32,11 @@ func Figure2Powers() (pxy, p1mp, p2mp float64, err error) {
 	g2 := comm.Comm{ID: 2, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 3}
 	set := comm.Set{g1, g2}
 
-	xyRes, err := heur.Solve(heur.XY{}, heur.Instance{Mesh: m, Model: model, Comms: set})
+	xy, err := heur.XY{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	pxy = xyRes.Power.Total()
+	pxy = route.Evaluate(xy, model).Power.Total()
 
 	opt, ok, err := exact.Solve(m, model, set)
 	if err != nil {

@@ -4,49 +4,45 @@ import (
 	"fmt"
 
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
-// Best is the virtual heuristic of Section 6: it runs every candidate
-// heuristic on the instance and keeps the feasible routing with the lowest
-// power. When no candidate is feasible it returns the routing with the
-// smallest maximum link load, so the caller's evaluation still reports the
-// failure in the usual way.
-type Best struct {
-	// Heuristics are the candidates; nil means All().
-	Heuristics []Heuristic
-}
+// Best is the virtual heuristic of Section 6: it runs the six paper
+// heuristics on the instance and keeps the feasible routing with the
+// lowest power. When no candidate is feasible it returns the routing with
+// the smallest maximum link load, so the caller's evaluation still reports
+// the failure in the usual way. Options reach every candidate.
+type Best struct{}
 
 // Name returns "BEST".
 func (Best) Name() string { return "BEST" }
 
-// Route implements Heuristic.
-func (b Best) Route(in Instance) (route.Routing, error) {
-	return b.RouteInto(in, route.NewWorkspace())
+// Route implements solve.Solver.
+func (b Best) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	return bestOf(b.Name(), paperHeuristics, in, o)
 }
 
-// RouteInto implements WorkspaceRouter. Candidates share the workspace, so
-// each time the lead changes the leader's paths are snapshotted into a
-// pooled path-set (a copy of a few hundred links); the snapshot is copied
-// back into the workspace's slots at the end, which costs microseconds
-// where re-running the winning heuristic costs milliseconds.
-func (b Best) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	hs := b.Heuristics
-	if hs == nil {
-		hs = All()
+// bestOf routes the instance with every candidate on one shared workspace
+// and keeps the best routing by BEST's rule. Each time the lead changes
+// the leader's paths are snapshotted into a pooled path-set (a copy of a
+// few hundred links); the snapshot is copied back into the workspace's
+// slots at the end, which costs microseconds where re-running the winning
+// heuristic costs milliseconds.
+func bestOf(policy string, cands []solve.Solver, in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(policy, in, o)
+	if err != nil {
+		return route.Routing{}, err
 	}
-	if len(hs) == 0 {
-		return route.Routing{}, fmt.Errorf("heur: BEST with no candidates")
-	}
-	ws.Bind(in.Mesh)
+	o.Workspace = ws
 	sc := scratchOf(ws)
 	winner, release := sc.acquireWinner()
 	defer release()
 	bestIdx, loIdx := -1, -1
 	var bestPow, loMax float64
-	for i, h := range hs {
-		r, err := RouteWith(h, in, ws)
+	for i, h := range cands {
+		r, err := h.Route(in, o)
 		if err != nil {
-			return route.Routing{}, fmt.Errorf("BEST: %s: %w", h.Name(), err)
+			return route.Routing{}, fmt.Errorf("%s: %s: %w", policy, h.Name(), err)
 		}
 		tr := ws.Tracker()
 		tr.SetRouting(r)

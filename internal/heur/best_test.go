@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // fixedHeur always returns the same routing — a candidate whose paths the
@@ -15,7 +16,7 @@ type fixedHeur struct{ r route.Routing }
 
 func (fixedHeur) Name() string { return "FIXED" }
 
-func (f fixedHeur) Route(Instance) (route.Routing, error) { return f.r, nil }
+func (f fixedHeur) Route(solve.Instance, solve.Options) (route.Routing, error) { return f.r, nil }
 
 // A candidate that leads the outer BEST must survive a later candidate
 // that runs a nested BEST on the same workspace (SA seeds itself with
@@ -24,12 +25,12 @@ func (f fixedHeur) Route(Instance) (route.Routing, error) { return f.r, nil }
 func TestBestNestedOnSharedWorkspace(t *testing.T) {
 	m := mesh.MustNew(3, 3)
 	c := comm.Comm{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 500}
-	in := Instance{Mesh: m, Model: power.KimHorowitz(), Comms: comm.Set{c}}
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: comm.Set{c}}
 	xy := route.XY(c.Src, c.Dst) // (1,1)->(1,2)->(2,2)
 	fixed := fixedHeur{r: route.Routing{Topo: m, Flows: []route.Flow{{Comm: c, Path: xy}}}}
 
 	ws := route.NewWorkspace()
-	r, err := Best{Heuristics: []Heuristic{fixed, SA{}}}.RouteInto(in, ws)
+	r, err := bestOf("BEST", []solve.Solver{fixed, SA{}}, in, solve.Options{Workspace: ws})
 	if err != nil {
 		t.Fatal(err)
 	}

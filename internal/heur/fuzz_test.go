@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // FuzzMoveOff drives the XYI path modification with arbitrary two-bend
@@ -81,7 +82,7 @@ func FuzzPR(f *testing.F) {
 			return
 		}
 		set := randomSet(m, seed, int(n%151), 100, 2500)
-		r, err := PR{StaticShares: static}.RouteInto(Instance{Mesh: m, Model: model, Comms: set}, ws)
+		r, err := PR{StaticShares: static}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{Workspace: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +119,8 @@ func FuzzXYI(f *testing.F) {
 			model = power.KimHorowitzContinuous()
 		}
 		set := randomSet(m, seed, int(n%151), 100, 2500)
-		in := Instance{Mesh: m, Model: model, Comms: set}
-		r, err := XYI{}.RouteInto(in, ws)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		r, err := XYI{}.Route(in, solve.Options{Workspace: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +154,8 @@ func FuzzIG(f *testing.F) {
 			model = power.KimHorowitzContinuous()
 		}
 		set := randomSet(m, seed, int(n%151), 100, 2500)
-		in := Instance{Mesh: m, Model: model, Comms: set}
-		r, err := IG{}.RouteInto(in, ws)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		r, err := IG{}.Route(in, solve.Options{Workspace: ws})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,12 @@
 // Package heur implements the single-path (1-MP) routing heuristics of
-// Section 5 — SG, IG, TB, XYI and PR — together with the XY baseline and
-// the virtual BEST heuristic used in the Section 6 plots.
+// Section 5 — SG, IG, TB, XYI and PR — together with the XY baseline, the
+// virtual BEST heuristic used in the Section 6 plots and the SA refiner.
+//
+// Each heuristic is a solve.Solver value (XY{}, PR{}, ...) held by the
+// policy registry under its name; solve.Options carries its knobs (the
+// processing order, SA's seed, move budget and stop poll) and the
+// reusable workspace. A direct call such as XY{}.Route(in, o) validates
+// the instance exactly like solve.Route("XY", in, o).
 //
 // All heuristics are deterministic: communications are processed by
 // decreasing weight (the ordering the paper found best), ties broken by
@@ -14,61 +20,16 @@ import (
 	"repro/internal/solve"
 )
 
-// Instance is one routing problem: a mesh, a power model, and the
-// communication set to route. It is the registry's solve.Instance — the
-// heuristics predate the unified policy layer and keep their historical
-// name for it.
-type Instance = solve.Instance
+// paperHeuristics are the six concrete heuristics in the paper's
+// presentation order — BEST's candidates.
+var paperHeuristics = []solve.Solver{XY{}, SG{}, IG{}, TB{}, XYI{}, PR{}}
 
-// Heuristic computes a single-path routing for an instance. Route always
-// returns a structurally valid routing when err is nil; the routing may
-// still be infeasible (some link over bandwidth), which is the paper's
-// notion of the heuristic failing on the instance — Solve exposes it via
-// route.Result.Feasible.
-type Heuristic interface {
-	Name() string
-	Route(in Instance) (route.Routing, error)
-}
-
-// WorkspaceRouter is implemented by heuristics that can route against a
-// reusable dense workspace (all of this package's heuristics do). RouteInto
-// produces bit-for-bit the same routing as Route, but reuses the
-// workspace's per-comm path slots, load tracker and scratch buffers; the
-// returned routing aliases workspace memory per the route.Workspace
-// pooling contract.
-type WorkspaceRouter interface {
-	Heuristic
-	RouteInto(in Instance, ws *route.Workspace) (route.Routing, error)
-}
-
-// RouteWith routes with h, reusing ws when h supports it (ws may be nil).
-func RouteWith(h Heuristic, in Instance, ws *route.Workspace) (route.Routing, error) {
-	if ws != nil {
-		if wr, ok := h.(WorkspaceRouter); ok {
-			return wr.RouteInto(in, ws)
-		}
+func init() {
+	for _, s := range paperHeuristics {
+		solve.Register(s)
 	}
-	return h.Route(in)
-}
-
-// Solve routes the instance with h and evaluates loads, feasibility and
-// power under the instance's model.
-func Solve(h Heuristic, in Instance) (route.Result, error) {
-	in, err := in.OnMesh(h.Name())
-	if err != nil {
-		return route.Result{}, err
-	}
-	r, err := h.Route(in)
-	if err != nil {
-		return route.Result{}, err
-	}
-	return route.Evaluate(r, in.Model), nil
-}
-
-// All returns the six concrete heuristics in the paper's presentation
-// order: XY, SG, IG, TB, XYI, PR.
-func All() []Heuristic {
-	return []Heuristic{XY{}, SG{}, IG{}, TB{}, XYI{}, PR{}}
+	solve.Register(Best{})
+	solve.Register(SA{})
 }
 
 // heurScratch is the pooled per-workspace scratch shared by the greedy
@@ -156,19 +117,27 @@ func (sc *heurScratch) orderedInto(set comm.Set, o comm.Order) comm.Set {
 	return sc.ordered
 }
 
-// prepare binds the workspace and sizes its path slots for the instance —
-// the common preamble of every RouteInto.
-func prepare(in Instance, ws *route.Workspace) *route.PathSet {
+// prepare is the shared preamble of every Route: it validates the
+// instance for the mesh-only policy, binds the caller's workspace (a
+// fresh one when o carries none) and sizes its path slots.
+func prepare(policy string, in solve.Instance, o solve.Options) (solve.Instance, *route.Workspace, error) {
+	in, err := in.OnMesh(policy)
+	if err != nil {
+		return in, nil, err
+	}
+	ws := o.Workspace
+	if ws == nil {
+		ws = route.NewWorkspace()
+	}
 	ws.Bind(in.Mesh)
-	ps := ws.Paths()
-	ps.ResetFor(in.Comms)
-	return ps
+	ws.Paths().ResetFor(in.Comms)
+	return in, ws, nil
 }
 
 // singlePathRouting assembles a Routing from the workspace's per-comm path
 // slots, preserving the original set order. The flow list aliases the
 // workspace's pooled buffer.
-func singlePathRouting(in Instance, ws *route.Workspace) route.Routing {
+func singlePathRouting(in solve.Instance, ws *route.Workspace) route.Routing {
 	flows := ws.Flows(len(in.Comms))
 	ps := ws.Paths()
 	for _, c := range in.Comms {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // IG is the Improved Greedy heuristic of Section 5.2. All communications
@@ -28,21 +29,20 @@ import (
 // a ∈ [max(na, s−dv), min(du, s−nb)] of that table. A candidate's bound
 // is then one range minimum per remaining diagonal, summed in the same
 // diagonal order, instead of a rebuilt frontier.
-type IG struct {
-	Order comm.Order
-}
+//
+// Options.Order overrides the finalization order.
+type IG struct{}
 
 // Name returns "IG".
 func (IG) Name() string { return "IG" }
 
-// Route implements Heuristic.
-func (h IG) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (h IG) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	ps := prepare(in, ws)
+// Route implements solve.Solver.
+func (h IG) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	ps := ws.Paths()
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
 	ev := evaluatorFor(ws, in.Model)
@@ -50,7 +50,7 @@ func (h IG) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		addIdealShare(in.Mesh, loads, sc, c, +1)
 	}
 
-	for _, c := range sc.orderedInto(in.Comms, h.Order) {
+	for _, c := range sc.orderedInto(in.Comms, o.Order) {
 		addIdealShare(in.Mesh, loads, sc, c, -1)
 		p := igPathInto(ps.Acquire(c.ID, c.Length()), in, loads, sc, ev, c)
 		loads.AddPath(p, c.Rate)
@@ -74,7 +74,7 @@ func addIdealShare(m *mesh.Mesh, loads *route.LoadTracker, sc *heurScratch, c co
 
 // igPathInto builds the single path for c using the power-to-go lower
 // bound, appending onto p.
-func igPathInto(p route.Path, in Instance, loads *route.LoadTracker, sc *heurScratch, ev *power.Evaluator, c comm.Comm) route.Path {
+func igPathInto(p route.Path, in solve.Instance, loads *route.LoadTracker, sc *heurScratch, ev *power.Evaluator, c comm.Comm) route.Path {
 	f := in.Mesh.BoxFrameOf(c.Src, c.Dst)
 	minLoad := sc.minOutLoads(&f, loads)
 	ell := c.Length()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // PR is the Path-Remover heuristic of Section 5.5. Every communication
@@ -134,15 +135,14 @@ func (sc *prScratch) newList(capHint int) []int {
 	return l[:0]
 }
 
-// Route implements Heuristic.
-func (h PR) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
+// Route implements solve.Solver.
+func (h PR) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
 	m := in.Mesh
-	ps := prepare(in, ws)
+	ps := ws.Paths()
 	loads := ws.Tracker()
 	hsc := scratchOf(ws)
 	sc := prScratchOf(ws)

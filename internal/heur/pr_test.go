@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/solve"
 )
 
 // PR must reduce every communication to exactly one Manhattan path.
@@ -15,8 +16,8 @@ func TestPRSinglePathInvariant(t *testing.T) {
 	model := power.KimHorowitz()
 	for seed := int64(0); seed < 6; seed++ {
 		set := randomSet(m, 100+seed, 35, 100, 2500)
-		in := Instance{Mesh: m, Model: model, Comms: set}
-		r, err := (PR{}).Route(in)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		r, err := PR{}.Route(in, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestPRSingleCommOptimal(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	g := comm.Comm{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 5}, Rate: 2000}
-	res := solveOrDie(t, PR{}, Instance{Mesh: m, Model: model, Comms: comm.Set{g}})
+	res := solveOrDie(t, PR{}, solve.Instance{Mesh: m, Model: model, Comms: comm.Set{g}})
 	if !res.Feasible {
 		t.Fatal("single comm infeasible under PR")
 	}
@@ -58,7 +59,7 @@ func TestPRStraightLines(t *testing.T) {
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 8, V: 1}, Rate: 1000},
 		{ID: 2, Src: mesh.Coord{U: 3, V: 2}, Dst: mesh.Coord{U: 3, V: 7}, Rate: 500},
 	}
-	res := solveOrDie(t, PR{}, Instance{Mesh: m, Model: model, Comms: set})
+	res := solveOrDie(t, PR{}, solve.Instance{Mesh: m, Model: model, Comms: set})
 	if !res.Feasible {
 		t.Fatalf("straight lines infeasible: %v", res.Err)
 	}
@@ -78,7 +79,7 @@ func TestPRSeparatesCompetingFlows(t *testing.T) {
 		{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 4}, Rate: 3400},
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 4, V: 4}, Rate: 3400},
 	}
-	res := solveOrDie(t, PR{}, Instance{Mesh: m, Model: model, Comms: set})
+	res := solveOrDie(t, PR{}, solve.Instance{Mesh: m, Model: model, Comms: set})
 	if !res.Feasible {
 		t.Fatalf("PR failed to separate flows: %v", res.Err)
 	}
@@ -104,19 +105,19 @@ func TestPRStaticSharesVariant(t *testing.T) {
 	failsDefault, failsStatic := 0, 0
 	for seed := int64(0); seed < 15; seed++ {
 		set := randomSet(m, 300+seed, 60, 100, 1500)
-		in := Instance{Mesh: m, Model: model, Comms: set}
-		r, err := (PR{StaticShares: true}).Route(in)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		r, err := PR{StaticShares: true}.Route(in, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Validate(set, 1); err != nil {
 			t.Fatalf("seed %d: static-shares routing invalid: %v", seed, err)
 		}
-		def, err := Solve(PR{}, in)
+		def, err := solveWith(PR{}, in, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stat, err := Solve(PR{StaticShares: true}, in)
+		stat, err := solveWith(PR{StaticShares: true}, in, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +138,12 @@ func TestPRDeterministic(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := randomSet(m, 77, 25, 100, 3000)
-	in := Instance{Mesh: m, Model: model, Comms: set}
-	a, err := (PR{}).Route(in)
+	in := solve.Instance{Mesh: m, Model: model, Comms: set}
+	a, err := PR{}.Route(in, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (PR{}).Route(in)
+	b, err := PR{}.Route(in, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestPRDryHeapNamesStuckComm(t *testing.T) {
 		{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 4}, Rate: 1000},
 		{ID: 7, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 3, V: 3}, Rate: 5e-324},
 	}
-	_, err := (PR{}).Route(Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set})
+	_, err := PR{}.Route(solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}, solve.Options{})
 	if err == nil || !strings.Contains(err.Error(), "communication 7 ") {
 		t.Fatalf("err = %v, want one naming communication 7", err)
 	}

@@ -9,11 +9,12 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/solve"
 )
 
 // quickInstance derives a small random instance from fuzz bytes: mesh
 // dimensions 2..6, 1..12 communications with rates 1..3500.
-func quickInstance(dims [2]uint8, raw []uint32) Instance {
+func quickInstance(dims [2]uint8, raw []uint32) solve.Instance {
 	p := int(dims[0]%5) + 2
 	q := int(dims[1]%5) + 2
 	m := mesh.MustNew(p, q)
@@ -28,21 +29,21 @@ func quickInstance(dims [2]uint8, raw []uint32) Instance {
 		}
 		set = append(set, comm.Comm{ID: i, Src: src, Dst: dst, Rate: float64(w[4]%3500) + 1})
 	}
-	return Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	return solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
 }
 
 // Property: every heuristic produces a structurally valid 1-MP routing on
 // arbitrary instances, and its evaluated loads conserve total volume.
 func TestQuickAllHeuristicsStructure(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
-	for _, h := range All() {
+	for _, h := range paperHeuristics {
 		h := h
 		f := func(dims [2]uint8, raw []uint32) bool {
 			in := quickInstance(dims, raw)
 			if len(in.Comms) == 0 {
 				return true
 			}
-			r, err := h.Route(in)
+			r, err := h.Route(in, solve.Options{})
 			if err != nil {
 				return false
 			}
@@ -69,8 +70,8 @@ func TestQuickBestLEQXY(t *testing.T) {
 		if len(in.Comms) == 0 {
 			return true
 		}
-		xy, err1 := Solve(XY{}, in)
-		best, err2 := Solve(Best{}, in)
+		xy, err1 := solveWith(XY{}, in, solve.Options{})
+		best, err2 := solveWith(Best{}, in, solve.Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -92,7 +93,7 @@ func TestQuickFeasibilityMonotoneInRates(t *testing.T) {
 		if len(in.Comms) == 0 {
 			return true
 		}
-		res, err := Solve(XY{}, in)
+		res, err := solveWith(XY{}, in, solve.Options{})
 		if err != nil {
 			return false
 		}
@@ -104,7 +105,7 @@ func TestQuickFeasibilityMonotoneInRates(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Rate *= k
 		}
-		res2, err := Solve(XY{}, Instance{Mesh: in.Mesh, Model: in.Model, Comms: scaled})
+		res2, err := solveWith(XY{}, solve.Instance{Mesh: in.Mesh, Model: in.Model, Comms: scaled}, solve.Options{})
 		if err != nil {
 			return false
 		}

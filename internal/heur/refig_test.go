@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // refIG is the Improved Greedy in its re-enumerating formulation, kept as
@@ -14,8 +15,10 @@ import (
 // link by link, and every candidate's power-to-go bound rebuilds the
 // frontier of each remaining diagonal of box(next, dst) and scans it for
 // the least-loaded link.
-func refIG(in Instance, ws *route.Workspace, order comm.Order) route.Routing {
-	ps := prepare(in, ws)
+func refIG(in solve.Instance, ws *route.Workspace, order comm.Order) route.Routing {
+	ws.Bind(in.Mesh)
+	ps := ws.Paths()
+	ps.ResetFor(in.Comms)
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
 	ev := evaluatorFor(ws, in.Model)
@@ -49,7 +52,7 @@ func refAddIdealShare(m *mesh.Mesh, loads *route.LoadTracker, frontier []mesh.Li
 // refIGPathInto builds c's path hop by hop, scoring each candidate with
 // its link's power plus, for every remaining diagonal of box(next, dst),
 // the power of its least-loaded link with c on it.
-func refIGPathInto(p route.Path, in Instance, loads *route.LoadTracker, frontier []mesh.Link, ev *power.Evaluator, c comm.Comm) (route.Path, []mesh.Link) {
+func refIGPathInto(p route.Path, in solve.Instance, loads *route.LoadTracker, frontier []mesh.Link, ev *power.Evaluator, c comm.Comm) (route.Path, []mesh.Link) {
 	p = greedyPathInto(p, c, func(cand mesh.Link, next mesh.Coord) float64 {
 		bound := loads.LinkPowerWithEv(ev, cand, c.Rate)
 		rest := comm.Comm{ID: c.ID, Src: next, Dst: c.Dst, Rate: c.Rate}
@@ -91,10 +94,10 @@ func TestIGMatchesReference(t *testing.T) {
 		ws, refWS := route.NewWorkspace(), route.NewWorkspace()
 		for seed, set := range sets {
 			for _, model := range models {
-				in := Instance{Mesh: m, Model: model, Comms: set}
+				in := solve.Instance{Mesh: m, Model: model, Comms: set}
 				for _, order := range igOrders {
 					want := refIG(in, refWS, order)
-					got, err := IG{Order: order}.RouteInto(in, ws)
+					got, err := IG{}.Route(in, solve.Options{Order: order, Workspace: ws})
 					if err != nil {
 						t.Fatalf("seed %d continuous=%v order %v: %v", seed, model.Continuous(), order, err)
 					}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // refPRState is one communication's shrinking path DAG in the reference
@@ -240,7 +241,7 @@ func TestPRMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d static=%v: reference: %v", seed, static, err)
 				}
-				got, err := PR{StaticShares: static}.RouteInto(Instance{Mesh: m, Model: model, Comms: set}, ws)
+				got, err := PR{StaticShares: static}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{Workspace: ws})
 				if err != nil {
 					t.Fatalf("seed %d static=%v: %v", seed, static, err)
 				}

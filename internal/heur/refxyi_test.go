@@ -8,6 +8,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // refXYI is the XY-Improver in its set-aside-and-reactivate formulation,
@@ -16,8 +17,10 @@ import (
 // every set-aside link is pushed back into the heap, so each one is
 // evaluated again whether or not anything it read changed. Candidates
 // are always evaluated in full (swapEffectOf, both sums), never pruned.
-func refXYI(in Instance, ws *route.Workspace) route.Routing {
-	ps := prepare(in, ws)
+func refXYI(in solve.Instance, ws *route.Workspace) route.Routing {
+	ws.Bind(in.Mesh)
+	ps := ws.Paths()
+	ps.ResetFor(in.Comms)
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
 	ev := evaluatorFor(ws, in.Model)
@@ -92,9 +95,9 @@ func TestXYIMatchesReference(t *testing.T) {
 		ws, refWS := route.NewWorkspace(), route.NewWorkspace()
 		for seed, set := range sets {
 			for _, model := range models {
-				in := Instance{Mesh: m, Model: model, Comms: set}
+				in := solve.Instance{Mesh: m, Model: model, Comms: set}
 				want := refXYI(in, refWS)
-				got, err := XYI{}.RouteInto(in, ws)
+				got, err := XYI{}.Route(in, solve.Options{Workspace: ws})
 				if err != nil {
 					t.Fatalf("seed %d continuous=%v: %v", seed, model.Continuous(), err)
 				}

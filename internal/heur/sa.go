@@ -26,17 +26,18 @@ import (
 // exact fresh sum whenever a new best is recorded and again when the best
 // configuration is restored — unchecked, the accumulated float drift of
 // thousands of accepted moves could mis-rank states near ties.
-type SA struct {
-	// Seed drives the perturbation stream (default 1).
-	Seed int64
-	// Iters is the move budget (default 300 moves per communication).
-	Iters int
-	// Stop, when non-nil, is polled every stopStride anneal moves (and
-	// once per hill-climb pass); true abandons the solve with
-	// solve.ErrStopped. The poll never touches the RNG, so an unstopped
-	// run's routing is byte-identical with or without the hook.
-	Stop func() bool
-}
+//
+// Options.Seed drives the perturbation stream (default 1), Options.SAIters
+// is the move budget (default 300 moves per communication) and
+// Options.Stop, when non-nil, is polled every stopStride anneal moves (and
+// once per hill-climb pass); true abandons the solve with
+// solve.ErrStopped. The poll never touches the RNG, so an unstopped run's
+// routing is byte-identical with or without the hook.
+type SA struct{}
+
+// saSeeds are the constructive heuristics whose best routing seeds the
+// anneal.
+var saSeeds = []solve.Solver{TB{}, XYI{}, PR{}}
 
 // stopStride is the anneal loop's Stop poll period: coarse enough that
 // an always-false predicate is noise next to a move evaluation, fine
@@ -46,25 +47,25 @@ const stopStride = 64
 // Name returns "SA".
 func (SA) Name() string { return "SA" }
 
-// Route implements Heuristic.
-func (h SA) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (h SA) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	seed := h.Seed
+// Route implements solve.Solver.
+func (h SA) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	seed := o.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	iters := h.Iters
+	iters := o.SAIters
 	if iters == 0 {
 		iters = 300 * len(in.Comms)
 	}
 
 	// Seed routing: best of the strongest constructive heuristics. The
 	// seed's paths land in (or are copied into) the workspace's slots.
-	start, err := Best{Heuristics: []Heuristic{TB{}, XYI{}, PR{}}}.RouteInto(in, ws)
+	o.Workspace = ws
+	start, err := bestOf(h.Name(), saSeeds, in, o)
 	if err != nil {
 		return route.Routing{}, err
 	}
@@ -159,7 +160,7 @@ func (h SA) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	sc.tbPaths = tb
 
 	for it := 0; it < iters; it++ {
-		if h.Stop != nil && it%stopStride == 0 && h.Stop() {
+		if o.Stop != nil && it%stopStride == 0 && o.Stop() {
 			return route.Routing{}, solve.ErrStopped
 		}
 		temp *= cooling
@@ -241,7 +242,7 @@ func (h SA) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		}
 	}
 	for pending > 0 {
-		if h.Stop != nil && h.Stop() {
+		if o.Stop != nil && o.Stop() {
 			return route.Routing{}, solve.ErrStopped
 		}
 		for pos, c := range comms {
@@ -279,12 +280,9 @@ func pathTouchesBox(box mesh.Box, p route.Path) bool {
 }
 
 // snapshotPaths copies the current path of every communication into dst.
-func snapshotPaths(dst *route.PathSet, src *route.PathSet, in Instance) {
+func snapshotPaths(dst *route.PathSet, src *route.PathSet, in solve.Instance) {
 	dst.ResetFor(in.Comms)
 	for _, c := range in.Comms {
 		dst.SetCopy(c.ID, src.Get(c.ID))
 	}
 }
-
-// guard: SA must keep satisfying the Heuristic contract.
-var _ WorkspaceRouter = SA{}

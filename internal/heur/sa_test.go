@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // SA produces valid 1-MP routings and never ends worse than its seed
@@ -15,19 +17,20 @@ func TestSANeverWorseThanSeed(t *testing.T) {
 	model := power.KimHorowitz()
 	for seed := int64(0); seed < 5; seed++ {
 		set := randomSet(m, 600+seed, 25, 100, 2000)
-		in := Instance{Mesh: m, Model: model, Comms: set}
-		r, err := SA{Seed: 7, Iters: 2000}.Route(in)
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
+		r, err := SA{}.Route(in, solve.Options{Seed: 7, SAIters: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Validate(set, 1); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		base, err := Solve(Best{Heuristics: []Heuristic{TB{}, XYI{}, PR{}}}, in)
+		start, err := bestOf("BEST", saSeeds, in, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, err := Solve(SA{Seed: 7, Iters: 2000}, in)
+		base := route.Evaluate(start, model)
+		sa, err := solveWith(SA{}, in, solve.Options{Seed: 7, SAIters: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,12 +47,12 @@ func TestSANeverWorseThanSeed(t *testing.T) {
 func TestSADeterministic(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	set := randomSet(m, 5, 20, 100, 2000)
-	in := Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
-	a, err := SA{Seed: 3, Iters: 1000}.Route(in)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	a, err := SA{}.Route(in, solve.Options{Seed: 3, SAIters: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SA{Seed: 3, Iters: 1000}.Route(in)
+	b, err := SA{}.Route(in, solve.Options{Seed: 3, SAIters: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestSADeterministic(t *testing.T) {
 
 func TestSAFindsFigure2Optimum(t *testing.T) {
 	in := figure2Instance()
-	res, err := Solve(SA{}, in)
+	res, err := solveWith(SA{}, in, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +76,8 @@ func TestSAFindsFigure2Optimum(t *testing.T) {
 
 func TestSAEmptyInstance(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	in := Instance{Mesh: m, Model: power.KimHorowitz()}
-	r, err := SA{}.Route(in)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz()}
+	r, err := SA{}.Route(in, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

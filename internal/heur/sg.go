@@ -4,6 +4,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // SG is the Simple Greedy heuristic of Section 5.1: communications are
@@ -11,26 +12,22 @@ import (
 // always taking the least-loaded of the one or two admissible next links.
 // Ties go to the link whose endpoint is closest to the straight segment
 // from source to sink ("the link that gets closer to the diagonal").
-type SG struct {
-	// Order overrides the processing order; zero value is the paper's
-	// decreasing weight. Only the ordering ablation sets it.
-	Order comm.Order
-}
+// Options.Order overrides the processing order.
+type SG struct{}
 
 // Name returns "SG".
 func (SG) Name() string { return "SG" }
 
-// Route implements Heuristic.
-func (h SG) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (h SG) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	ps := prepare(in, ws)
+// Route implements solve.Solver.
+func (h SG) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	ps := ws.Paths()
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
-	for _, c := range sc.orderedInto(in.Comms, h.Order) {
+	for _, c := range sc.orderedInto(in.Comms, o.Order) {
 		p := greedyPathInto(ps.Acquire(c.ID, c.Length()), c,
 			func(cand mesh.Link, _ mesh.Coord) float64 {
 				return loads.LoadID(in.Mesh.LinkIDFast(cand))

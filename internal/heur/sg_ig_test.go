@@ -8,6 +8,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // SG avoids an obviously congested corridor: with a heavy flow occupying
@@ -20,7 +21,7 @@ func TestSGAvoidsLoadedLinks(t *testing.T) {
 		{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 1, V: 4}, Rate: 3000}, // pins row 1
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 4}, Rate: 1000},
 	}
-	res := solveOrDie(t, SG{}, Instance{Mesh: m, Model: model, Comms: set})
+	res := solveOrDie(t, SG{}, solve.Instance{Mesh: m, Model: model, Comms: set})
 	if !res.Feasible {
 		t.Fatalf("SG infeasible: %v", res.Err)
 	}
@@ -43,7 +44,7 @@ func TestSGTieBreakHugsDiagonal(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	g := comm.Comm{ID: 0, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 5, V: 5}, Rate: 100}
-	res := solveOrDie(t, SG{}, Instance{Mesh: m, Model: model, Comms: comm.Set{g}})
+	res := solveOrDie(t, SG{}, solve.Instance{Mesh: m, Model: model, Comms: comm.Set{g}})
 	p := res.Routing.Flows[0].Path
 	for _, l := range p {
 		// On the exact diagonal, deviation never exceeds one half-step:
@@ -91,7 +92,7 @@ func TestIGSeesBeyondNextHop(t *testing.T) {
 		// Crossing flow from (1,1) to (5,3).
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 5, V: 3}, Rate: 3400},
 	}
-	ig := solveOrDie(t, IG{}, Instance{Mesh: m, Model: model, Comms: set})
+	ig := solveOrDie(t, IG{}, solve.Instance{Mesh: m, Model: model, Comms: set})
 	if !ig.Feasible {
 		t.Fatalf("IG infeasible: %v", ig.Err)
 	}

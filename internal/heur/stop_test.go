@@ -14,8 +14,8 @@ import (
 func TestSAStopAbandonsSearch(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	set := randomSet(m, 42, 25, 100, 2000)
-	in := Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
-	_, err := SA{Seed: 3, Iters: 100000, Stop: func() bool { return true }}.Route(in)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	_, err := SA{}.Route(in, solve.Options{Seed: 3, SAIters: 100000, Stop: func() bool { return true }})
 	if !errors.Is(err, solve.ErrStopped) {
 		t.Fatalf("err = %v, want solve.ErrStopped", err)
 	}
@@ -27,12 +27,12 @@ func TestSAStopAbandonsSearch(t *testing.T) {
 func TestSAStopNeverFiringChangesNothing(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	set := randomSet(m, 5, 20, 100, 2000)
-	in := Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
-	a, err := SA{Seed: 3, Iters: 1000}.Route(in)
+	in := solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: set}
+	a, err := SA{}.Route(in, solve.Options{Seed: 3, SAIters: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SA{Seed: 3, Iters: 1000, Stop: func() bool { return false }}.Route(in)
+	b, err := SA{}.Route(in, solve.Options{Seed: 3, SAIters: 1000, Stop: func() bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 var inf = math.Inf(1)
@@ -13,26 +14,24 @@ var inf = math.Inf(1)
 // TB is the Two-Bend heuristic of Section 5.3: communications are
 // processed by decreasing weight, and for each one every Manhattan path
 // with at most two bends is tried — there are |Δu|+|Δv| of them — keeping
-// the path that yields the lowest power.
-type TB struct {
-	Order comm.Order
-}
+// the path that yields the lowest power. Options.Order overrides the
+// processing order.
+type TB struct{}
 
 // Name returns "TB".
 func (TB) Name() string { return "TB" }
 
-// Route implements Heuristic.
-func (h TB) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (h TB) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	ps := prepare(in, ws)
+// Route implements solve.Solver.
+func (h TB) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	ps := ws.Paths()
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
 	ev := evaluatorFor(ws, in.Model)
-	for _, c := range sc.orderedInto(in.Comms, h.Order) {
+	for _, c := range sc.orderedInto(in.Comms, o.Order) {
 		bestDelta := inf
 		for k, n := 0, twoBendCountOf(c.Src, c.Dst); k < n; k++ {
 			sc.cand = appendNthTwoBend(sc.cand[:0], c.Src, c.Dst, k)

@@ -1,6 +1,9 @@
 package heur
 
-import "repro/internal/route"
+import (
+	"repro/internal/route"
+	"repro/internal/solve"
+)
 
 // XY is the baseline routing policy: every communication goes horizontally
 // first, then vertically (Section 1). It ignores loads entirely, which is
@@ -12,13 +15,12 @@ type XY struct{}
 func (XY) Name() string { return "XY" }
 
 // Route routes every communication along its XY path.
-func (h XY) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (XY) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	ps := prepare(in, ws)
+func (h XY) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(h.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	ps := ws.Paths()
 	for _, c := range in.Comms {
 		ps.Set(c.ID, route.AppendXY(ps.Acquire(c.ID, c.Length()), c.Src, c.Dst))
 	}

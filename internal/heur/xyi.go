@@ -4,6 +4,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // XYI is the XY-Improver heuristic of Section 5.4. It starts from the XY
@@ -60,14 +61,13 @@ type XYI struct{}
 // Name returns "XYI".
 func (XYI) Name() string { return "XYI" }
 
-// Route implements Heuristic.
-func (h XYI) Route(in Instance) (route.Routing, error) {
-	return h.RouteInto(in, route.NewWorkspace())
-}
-
-// RouteInto implements WorkspaceRouter.
-func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
-	ps := prepare(in, ws)
+// Route implements solve.Solver.
+func (x XYI) Route(in solve.Instance, o solve.Options) (route.Routing, error) {
+	in, ws, err := prepare(x.Name(), in, o)
+	if err != nil {
+		return route.Routing{}, err
+	}
+	ps := ws.Paths()
 	loads := ws.Tracker()
 	sc := scratchOf(ws)
 	ev := evaluatorFor(ws, in.Model)

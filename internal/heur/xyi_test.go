@@ -10,6 +10,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // moveOff is the fresh-scratch full-path form of (*heurScratch).moveOff,
@@ -149,7 +150,7 @@ func TestXYINeverWorseThanXY(t *testing.T) {
 	model := power.KimHorowitz()
 	for seed := int64(0); seed < 15; seed++ {
 		set := randomSet(m, seed, 30, 100, 2000)
-		in := Instance{Mesh: m, Model: model, Comms: set}
+		in := solve.Instance{Mesh: m, Model: model, Comms: set}
 		xy := solveOrDie(t, XY{}, in)
 		xyi := solveOrDie(t, XYI{}, in)
 		if xy.Feasible && !xyi.Feasible {

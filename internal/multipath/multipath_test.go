@@ -9,6 +9,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -126,9 +127,10 @@ func TestDecomposeRejectsBrokenFlow(t *testing.T) {
 	}
 }
 
-// solveSplit routes set with e and evaluates the routing.
-func solveSplit(e EqualSplit, m *mesh.Mesh, model power.Model, set comm.Set) (route.Result, error) {
-	r, err := e.RouteWith(m, model, set, nil)
+// solveSplit routes set with the equal-split policy at the given split
+// count and evaluates the routing.
+func solveSplit(split int, m *mesh.Mesh, model power.Model, set comm.Set) (route.Result, error) {
+	r, err := solve.Route("2MP", solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{MaxPaths: split})
 	if err != nil {
 		return route.Result{}, err
 	}
@@ -137,14 +139,14 @@ func solveSplit(e EqualSplit, m *mesh.Mesh, model power.Model, set comm.Set) (ro
 
 // Section 3.5's 2-MP example: splitting the rate-3 communication lets the
 // routing reach power 32, below the best single-path 56.
-func TestEqualSplitBeatsSinglePathOnFigure2(t *testing.T) {
+func TestSplitBeatsSinglePathOnFigure2(t *testing.T) {
 	m := mesh.MustNew(2, 2)
 	model := power.Figure2()
 	set := comm.Set{
 		{ID: 1, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 1},
 		{ID: 2, Src: mesh.Coord{U: 1, V: 1}, Dst: mesh.Coord{U: 2, V: 2}, Rate: 3},
 	}
-	res, err := solveSplit(EqualSplit{S: 2, Inner: heur.TB{}}, m, model, set)
+	res, err := solveSplit(2, m, model, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,49 +165,53 @@ func TestEqualSplitBeatsSinglePathOnFigure2(t *testing.T) {
 }
 
 // s-MP routings remain structurally valid on random instances and never
-// exceed the per-communication path budget.
-func TestEqualSplitValidOnRandom(t *testing.T) {
+// exceed the per-communication path budget; a split count outside
+// [1, MaxSplit] is an error.
+func TestSplitValidOnRandom(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
-	for _, s := range []int{1, 2, 4} {
+	for _, s := range []int{1, 2, 4, MaxSplit} {
 		for seed := int64(0); seed < 4; seed++ {
 			set := workload.New(m, seed).Uniform(20, 100, 2500)
-			r, err := EqualSplit{S: s}.RouteWith(m, model, set, nil)
+			res, err := solveSplit(s, m, model, set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Validate(set, s); err != nil {
+			if err := res.Routing.Validate(set, s); err != nil {
 				t.Fatalf("s=%d seed=%d: %v", s, seed, err)
 			}
 		}
 	}
-	if _, err := (EqualSplit{S: 0}).RouteWith(m, model, nil, nil); err == nil {
-		t.Error("S=0 accepted")
+	set := workload.New(m, 1).Uniform(20, 100, 2500)
+	for _, s := range []int{-1, MaxSplit + 1, 1 << 30} {
+		if _, err := solveSplit(s, m, model, set); err == nil {
+			t.Errorf("split count %d accepted", s)
+		}
 	}
 }
 
 // Splitting can only help on the heavy-twins instance: 4-MP succeeds where
 // XY fails outright. (Two twins of 3400 exactly fill the two source
 // gateway links at 3400 each when split evenly.)
-func TestEqualSplitRelievesOverload(t *testing.T) {
+func TestSplitRelievesOverload(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := comm.Set{
 		{ID: 0, Src: mesh.Coord{U: 2, V: 2}, Dst: mesh.Coord{U: 6, V: 6}, Rate: 3400},
 		{ID: 1, Src: mesh.Coord{U: 2, V: 2}, Dst: mesh.Coord{U: 6, V: 6}, Rate: 3400},
 	}
-	res, err := solveSplit(EqualSplit{S: 4, Inner: heur.TB{}}, m, model, set)
+	res, err := solveSplit(4, m, model, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible {
 		t.Fatalf("4-MP failed on triple twins: %v", res.Err)
 	}
-	xy, err := heur.Solve(heur.XY{}, heur.Instance{Mesh: m, Model: model, Comms: set})
+	r, err := heur.XY{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xy.Feasible {
+	if route.Evaluate(r, model).Feasible {
 		t.Fatal("XY unexpectedly feasible on triple twins")
 	}
 }

@@ -114,8 +114,12 @@ func TestEnergyConservationSeeded(t *testing.T) {
 	ran := 0
 	for seed := int64(0); seed < 10; seed++ {
 		set := workload.New(m, seed).Uniform(12, 100, 900)
-		res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-		if err != nil || !res.Feasible {
+		r, err := heur.PR{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := route.Evaluate(r, model)
+		if !res.Feasible {
 			continue
 		}
 		for _, cfg := range diffConfigs() {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -126,10 +127,11 @@ func TestHeuristicRoutingDeliversWorkload(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 21).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
+	r, err := heur.PR{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := route.Evaluate(r, model)
 	if !res.Feasible {
 		t.Skip("instance infeasible for PR; seed chosen to avoid this")
 	}

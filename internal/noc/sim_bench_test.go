@@ -15,6 +15,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -25,11 +26,14 @@ func benchRouting(b *testing.B) (route.Routing, power.Model) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 8).Uniform(15, 100, 1200)
-	res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: m, Model: model, Comms: set})
-	if err != nil || !res.Feasible {
-		b.Fatalf("setup: err=%v feasible=%v", err, res.Feasible)
+	r, err := heur.PR{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	return res.Routing, model
+	if res := route.Evaluate(r, model); !res.Feasible {
+		b.Fatalf("setup: infeasible: %v", res.Err)
+	}
+	return r, model
 }
 
 func benchConfig(sw Switching) Config {

@@ -2,6 +2,7 @@ package rtable
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mesh"
 )
@@ -35,6 +36,28 @@ type NextHops struct {
 	space int     // link id space of the compiled graph
 	next  []int32 // next[dst*n+node] = link id of first hop node->dst, -1 at node==dst
 	dist  []int32 // dist[dst*n+node] = hop distance node->dst, -1 if unreachable
+}
+
+// LazyNextHops holds a graph's table, compiled on first use, so that
+// building a platform (request admission, spec hashing) never pays for
+// routing on it. It is safe for concurrent use; the zero value is ready.
+type LazyNextHops struct {
+	once sync.Once
+	t    *NextHops
+}
+
+// Of returns g's table, compiling it on the first call. g must be
+// connected, as the torus and circulant constructors guarantee; Of
+// panics otherwise.
+func (l *LazyNextHops) Of(g Graph) *NextHops {
+	l.once.Do(func() {
+		t, err := CompileNextHops(g)
+		if err != nil {
+			panic(err)
+		}
+		l.t = t
+	})
+	return l.t
 }
 
 // CompileNextHops builds the all-pairs table with one reverse BFS per

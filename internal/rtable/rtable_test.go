@@ -8,9 +8,10 @@ import (
 	"repro/internal/comm"
 	"repro/internal/heur"
 	"repro/internal/mesh"
-	"repro/internal/multipath"
+	_ "repro/internal/multipath" // registers 2MP
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -19,8 +20,8 @@ func TestBuildAndVerifyAllHeuristics(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 9).Uniform(25, 100, 2000)
-	for _, h := range heur.All() {
-		r, err := h.Route(heur.Instance{Mesh: m, Model: model, Comms: set})
+	for _, h := range []solve.Solver{heur.XY{}, heur.SG{}, heur.IG{}, heur.TB{}, heur.XYI{}, heur.PR{}} {
+		r, err := h.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestMultiPathTables(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 4).Uniform(10, 500, 2500)
-	r, err := multipath.EqualSplit{S: 3}.RouteWith(m, model, set, nil)
+	r, err := solve.Route("2MP", solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{MaxPaths: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestWriteJSONDeterministicAndParseable(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	model := power.KimHorowitz()
 	set := workload.New(m, 2).Uniform(10, 100, 1000)
-	r, err := (heur.PR{}).Route(heur.Instance{Mesh: m, Model: model, Comms: set})
+	r, err := heur.PR{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/noc"
 	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 	"repro/internal/workload"
 )
 
@@ -327,10 +329,11 @@ func (d *traceDrawer) Draw(seed int64, dst comm.Set) (comm.Set, error) {
 	for attempt := 0; attempt < traceMaxAttempts; attempt++ {
 		d.gen.Reseed(seed + int64(attempt)*traceAttemptBump)
 		d.offered = d.gen.UniformInto(d.offered, d.p.N, d.p.WMin, d.p.WMax)
-		res, err := heur.Solve(heur.PR{}, heur.Instance{Mesh: d.m, Model: d.model, Comms: d.offered})
+		r, err := heur.PR{}.Route(solve.Instance{Mesh: d.m, Model: d.model, Comms: d.offered}, solve.Options{})
 		if err != nil {
 			return nil, err
 		}
+		res := route.Evaluate(r, d.model)
 		if !res.Feasible {
 			continue
 		}

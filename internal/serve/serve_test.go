@@ -15,6 +15,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/experiments"
 	"repro/internal/mesh"
+	"repro/internal/multipath"
 	"repro/internal/route"
 	"repro/internal/scenario"
 	"repro/internal/solve"
@@ -397,6 +398,27 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// An equal-split count above multipath.MaxSplit is the policy's error,
+// answered at once instead of building the fragments, and the shard keeps
+// serving.
+func TestSolveRejectsHugeSplit(t *testing.T) {
+	_, ts := newTestServer(t, Config{SolveShards: 1})
+	for _, n := range []int{multipath.MaxSplit + 1, 1 << 30} {
+		start := time.Now()
+		resp, got := postSolve(t, ts.URL, SolveRequest{Mesh: "4x4", Policy: "2MP", MaxPaths: n, Comms: solveTestComms()})
+		if resp.StatusCode != http.StatusOK || !strings.Contains(got.Error, "split count") {
+			t.Errorf("max_paths %d: status %d, error %q, want 200 carrying the split-count error", n, resp.StatusCode, got.Error)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("max_paths %d: answered after %v", n, d)
+		}
+	}
+	resp, got := postSolve(t, ts.URL, SolveRequest{Mesh: "4x4", Policy: "2MP", MaxPaths: 4, Comms: solveTestComms()})
+	if resp.StatusCode != http.StatusOK || got.Error != "" || !got.Feasible {
+		t.Errorf("after the rejected splits: status %d, %+v", resp.StatusCode, got)
 	}
 }
 

@@ -3,8 +3,6 @@ package solve_test
 import (
 	"testing"
 
-	"repro/internal/comm"
-	"repro/internal/heur"
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -62,36 +60,6 @@ func TestOptionsSeedDeterminism(t *testing.T) {
 		if res := route.Evaluate(r, in.Model); !res.Feasible {
 			t.Errorf("seed %d: infeasible SA routing on an easy instance", seed)
 		}
-	}
-}
-
-// Options fields reach the policies: the registry call with knobs equals
-// the direct struct-literal call with the same knobs.
-func TestOptionsPlumbing(t *testing.T) {
-	in := randomInstance(t, 13, 14, power.KimHorowitz())
-
-	saReg, err := solve.Route("SA", in, solve.Options{Seed: 5, SAIters: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saDirect, err := heur.SA{Seed: 5, Iters: 60}.Route(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRouting(saReg, saDirect) {
-		t.Error("SA options not plumbed: registry differs from heur.SA{Seed, Iters}")
-	}
-
-	tbReg, err := solve.Route("TB", in, solve.Options{Order: comm.ByWeightAsc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbDirect, err := heur.TB{Order: comm.ByWeightAsc}.Route(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRouting(tbReg, tbDirect) {
-		t.Error("Order not plumbed: registry TB differs from heur.TB{Order}")
 	}
 }
 

@@ -2,12 +2,12 @@
 // layer: every routing policy family — the Section 5 single-path
 // heuristics, the exact branch-and-bound OPT, the equal-split multi-path
 // rules, the Frank–Wolfe max-MP optimum, the simulated-annealing refiner
-// and the topology-generic TABLE — presents itself as a Solver and
+// and the topology-generic TABLE — implements one interface, Solver, and
 // self-registers into a case-insensitive registry. Callers (the
 // experiment engine, the service, the commands, the examples) describe a
-// problem as an Instance, route it by policy name with Route and pass
-// knobs through a single Options struct instead of constructing
-// per-family struct literals.
+// problem as an Instance, route it by policy name with Route (or call a
+// Solver value such as heur.PR{} directly, with the same validation) and
+// pass every knob through a single Options struct.
 //
 // The registry is populated by init functions in the policy packages
 // (internal/heur, internal/exact, internal/multipath, internal/optflow,
@@ -105,11 +105,13 @@ type Options struct {
 	// FWTolerance is MAXMP's relative duality-gap target (0 = 1e-6).
 	FWTolerance float64
 	// MaxPaths overrides the split count of the equal-split multi-path
-	// policies (0 keeps the policy's own s, e.g. 2 for "2MP").
+	// policies (0 keeps the policy's own s, e.g. 2 for "2MP"); a count
+	// outside [1, multipath.MaxSplit] is the policy's error.
 	MaxPaths int
 	// Order overrides the communication processing order of the
-	// order-sensitive greedy heuristics (zero value is the paper's
-	// weight-descending).
+	// order-sensitive greedy heuristics SG, IG and TB, wherever they run:
+	// alone, as BEST's candidates, in SA's seed or under 2MP/4MP (zero
+	// value is the paper's weight-descending).
 	Order comm.Order
 	// ExactWorkers caps the parallel workers of the OPT branch-and-bound
 	// (0 = GOMAXPROCS). OPT's routing is byte-identical at every worker

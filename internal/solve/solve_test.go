@@ -9,9 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/exact"
 	_ "repro/internal/experiments" // registers every policy
-	"repro/internal/heur"
 	"repro/internal/mesh"
-	"repro/internal/multipath"
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -95,30 +93,6 @@ func TestDuplicateRegistrationLeavesNoPolicy(t *testing.T) {
 	for _, name := range solve.Policies() {
 		if strings.EqualFold(name, "DUP-TEST") {
 			t.Fatalf("solve.Policies() still lists %q after the duplicate-registration test", name)
-		}
-	}
-}
-
-func TestRouteMatchesDirectPolicies(t *testing.T) {
-	in := demoInstance(t)
-	direct := map[string]func() (route.Routing, error){
-		"PR": func() (route.Routing, error) { return heur.PR{}.Route(in) },
-		"XY": func() (route.Routing, error) { return heur.XY{}.Route(in) },
-		"2MP": func() (route.Routing, error) {
-			return multipath.EqualSplit{S: 2, Inner: heur.TB{}}.RouteWith(in.Mesh, in.Model, in.Comms, nil)
-		},
-	}
-	for name, f := range direct {
-		want, err := f()
-		if err != nil {
-			t.Fatalf("%s direct: %v", name, err)
-		}
-		got, err := solve.Route(name, in, solve.Options{})
-		if err != nil {
-			t.Fatalf("%s registry: %v", name, err)
-		}
-		if route.Evaluate(got, in.Model).Power.Total() != route.Evaluate(want, in.Model).Power.Total() {
-			t.Errorf("%s: registry power differs from direct call", name)
 		}
 	}
 }
@@ -224,14 +198,14 @@ func TestBestNoWorseThanEveryHeuristic(t *testing.T) {
 	if !best.Feasible {
 		t.Fatalf("BEST infeasible: %v", best.Err)
 	}
-	for _, h := range heur.All() {
-		r, err := solve.Route(h.Name(), in, solve.Options{})
+	for _, name := range []string{"XY", "SG", "IG", "TB", "XYI", "PR"} {
+		r, err := solve.Route(name, in, solve.Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", h.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		res := route.Evaluate(r, in.Model)
 		if res.Feasible && best.Power.Total() > res.Power.Total()+1e-9 {
-			t.Errorf("BEST %g worse than %s %g", best.Power.Total(), h.Name(), res.Power.Total())
+			t.Errorf("BEST %g worse than %s %g", best.Power.Total(), name, res.Power.Total())
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 // SingleSourceGain addresses the open problem stated in the paper's
@@ -49,9 +50,9 @@ func SingleSourceGain(p, n int, alpha float64) (pxy, p1mp float64, exactOpt bool
 		}
 		return pxy, route.Evaluate(r, model).Power.Total(), true, nil
 	}
-	res, err := heur.Solve(heur.Best{}, heur.Instance{Mesh: m, Model: model, Comms: set})
+	r, err := heur.Best{}.Route(solve.Instance{Mesh: m, Model: model, Comms: set}, solve.Options{})
 	if err != nil {
 		return 0, 0, false, err
 	}
-	return pxy, res.Power.Total(), false, nil
+	return pxy, route.Evaluate(r, model).Power.Total(), false, nil
 }

@@ -7,6 +7,8 @@ import (
 	"repro/internal/exact"
 	"repro/internal/heur"
 	"repro/internal/power"
+	"repro/internal/route"
+	"repro/internal/solve"
 )
 
 func TestLemma2PowersMatchClosedForms(t *testing.T) {
@@ -71,10 +73,12 @@ func TestLemma2YXIsOptimal(t *testing.T) {
 	}
 	// The heuristics should match or at least approach YX on this
 	// instance; BEST must be no worse than 2× YX here.
-	res, err := heur.Solve(heur.Best{}, heur.Instance{Mesh: m, Model: modelWithBW(model, set), Comms: set})
+	bw := modelWithBW(model, set)
+	r, err := heur.Best{}.Route(solve.Instance{Mesh: m, Model: bw, Comms: set}, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := route.Evaluate(r, bw)
 	if !res.Feasible {
 		t.Fatal("BEST infeasible on staircase")
 	}

@@ -9,8 +9,9 @@
 // generator and scenario source works unchanged. Each generator s
 // contributes two unidirectional links per node, i → i+s and i → i−s
 // (mod N); the dense link id is (2·gen + sign)·N + i with space 2·k·N,
-// every identifier valid. Routes come from a precompiled
-// rtable.NextHops table with smallest-link-id tie-breaks.
+// every identifier valid. Routes come from an rtable.NextHops table,
+// compiled on the first Distance or AppendRoute, with smallest-link-id
+// tie-breaks.
 //
 // Importing this package registers the "circulant" family with
 // topo.Parse under the spec form "circulant:N:s1,s2,…".
@@ -54,13 +55,14 @@ type Circulant struct {
 	n       int
 	gens    []int // sorted ascending, distinct, each in [1, N/2)
 	carrier *mesh.Mesh
-	hops    *rtable.NextHops
+	hops    rtable.LazyNextHops
 }
 
 // New returns C(n; gens). It requires 5 <= n <= topo.MaxCores, at least
-// one generator, and every generator distinct in [1, n/2) — the strict
-// upper bound keeps i+s and i−s distinct, so the link id mapping stays a
-// bijection.
+// one generator, every generator distinct in [1, n/2) — the strict upper
+// bound keeps i+s and i−s distinct, so the link id mapping stays a
+// bijection — and a connected graph, which C(n; gens) is exactly when
+// gcd(n, s1, …, sk) = 1.
 func New(n int, gens []int) (*Circulant, error) {
 	if n < 5 || n > topo.MaxCores {
 		return nil, fmt.Errorf("circulant: node count %d out of range [5, %d]", n, topo.MaxCores)
@@ -78,13 +80,21 @@ func New(n int, gens []int) (*Circulant, error) {
 			return nil, fmt.Errorf("circulant: duplicate generator %d", s)
 		}
 	}
-	c := &Circulant{n: n, gens: sorted, carrier: mesh.MustNew(1, n)}
-	hops, err := rtable.CompileNextHops(c)
-	if err != nil {
-		return nil, fmt.Errorf("circulant: C(%d; %v) is disconnected: %w", n, sorted, err)
+	g := n
+	for _, s := range sorted {
+		g = gcd(g, s)
 	}
-	c.hops = hops
-	return c, nil
+	if g != 1 {
+		return nil, fmt.Errorf("circulant: C(%d; %v) is disconnected: gcd of N and the generators is %d", n, sorted, g)
+	}
+	return &Circulant{n: n, gens: sorted, carrier: mesh.MustNew(1, n)}, nil
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Name returns "circulant".
@@ -207,13 +217,13 @@ func (c *Circulant) Neighbors(co mesh.Coord) []mesh.Coord {
 // Distance returns the shortest chord-hop count, read from the
 // compiled table.
 func (c *Circulant) Distance(a, b mesh.Coord) int {
-	return c.hops.Dist(c.CoordIndex(a), c.CoordIndex(b))
+	return c.hops.Of(c).Dist(c.CoordIndex(a), c.CoordIndex(b))
 }
 
 // AppendRoute appends the table's deterministic shortest path from src
 // to dst onto buf.
 func (c *Circulant) AppendRoute(buf []mesh.Link, src, dst mesh.Coord) []mesh.Link {
-	return c.hops.AppendRoute(buf, c, src, dst)
+	return c.hops.Of(c).AppendRoute(buf, c, src, dst)
 }
 
 var _ topo.Topology = (*Circulant)(nil)

@@ -6,10 +6,11 @@
 //
 // The link identifier layout mirrors the mesh exactly
 // (dir·p·q + (u-1)·q + (v-1), space 4·p·q) but every identifier is
-// valid. Routes come from a precompiled rtable.NextHops table with
-// smallest-link-id tie-breaks; both dimensions must be at least 3 so
-// that a link value determines its direction (with a dimension of 2 the
-// wrapping and non-wrapping hop would be the same core pair).
+// valid. Routes come from an rtable.NextHops table, compiled on the
+// first Distance or AppendRoute, with smallest-link-id tie-breaks; both
+// dimensions must be at least 3 so that a link value determines its
+// direction (with a dimension of 2 the wrapping and non-wrapping hop
+// would be the same core pair).
 //
 // Importing this package registers the "torus" family with topo.Parse
 // under the spec form "torus:PxQ".
@@ -37,7 +38,7 @@ func init() {
 type Torus struct {
 	p, q    int
 	carrier *mesh.Mesh
-	hops    *rtable.NextHops
+	hops    rtable.LazyNextHops
 }
 
 // New returns a p×q torus. Both dimensions must be at least 3.
@@ -45,13 +46,7 @@ func New(p, q int) (*Torus, error) {
 	if p < 3 || q < 3 {
 		return nil, fmt.Errorf("torus: dimensions %dx%d too small (both must be >= 3)", p, q)
 	}
-	t := &Torus{p: p, q: q, carrier: mesh.MustNew(p, q)}
-	hops, err := rtable.CompileNextHops(t)
-	if err != nil {
-		return nil, err
-	}
-	t.hops = hops
-	return t, nil
+	return &Torus{p: p, q: q, carrier: mesh.MustNew(p, q)}, nil
 }
 
 // Name returns "torus".
@@ -174,13 +169,13 @@ func (t *Torus) Neighbors(c mesh.Coord) []mesh.Coord {
 // Distance returns the wrap-aware shortest hop count
 // min(|Δu|, p−|Δu|) + min(|Δv|, q−|Δv|), read from the compiled table.
 func (t *Torus) Distance(a, b mesh.Coord) int {
-	return t.hops.Dist(t.CoordIndex(a), t.CoordIndex(b))
+	return t.hops.Of(t).Dist(t.CoordIndex(a), t.CoordIndex(b))
 }
 
 // AppendRoute appends the table's deterministic shortest path from src
 // to dst onto buf.
 func (t *Torus) AppendRoute(buf []mesh.Link, src, dst mesh.Coord) []mesh.Link {
-	return t.hops.AppendRoute(buf, t, src, dst)
+	return t.hops.Of(t).AppendRoute(buf, t, src, dst)
 }
 
 var _ topo.Topology = (*Torus)(nil)

@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/route"
@@ -35,6 +36,21 @@ var policyDigests = map[string]string{
 	"TB":    "665aa5b0f68870a9",
 	"XY":    "dc4857c2bae1d829",
 	"XYI":   "ae9a1635213a5d0d",
+}
+
+// policyVariantDigests pin, on the policy's grid, the knobs that reach a
+// policy only through Options: SA's seed and move budget, the processing
+// order of the order-sensitive greedies and the equal-split count.
+var policyVariantDigests = []struct {
+	policy, label string
+	opts          solve.Options
+	digest        string
+}{
+	{"SA", "seed5_iters60", solve.Options{Seed: 5, SAIters: 60}, "133b2f611de3179d"},
+	{"TB", "weight_asc", solve.Options{Order: comm.ByWeightAsc}, "5177aa21a2f64cdd"},
+	{"SG", "weight_asc", solve.Options{Order: comm.ByWeightAsc}, "d15ac15bca36ef59"},
+	{"IG", "weight_asc", solve.Options{Order: comm.ByWeightAsc}, "1cf50e358bb146a9"},
+	{"2MP", "maxpaths3", solve.Options{MaxPaths: 3}, "e87f09eaf945dc7f"},
 }
 
 // policyDigestInstances is the fixed grid a policy is digested on:
@@ -76,15 +92,15 @@ func policyDigestInstances(t *testing.T, name string) []solve.Instance {
 	return ins
 }
 
-// policyDigest routes every grid instance of the policy on one reused
-// workspace (serial OPT) and hashes the routings.
-func policyDigest(t *testing.T, name string) string {
+// policyDigest routes every grid instance of the policy under opts on
+// one reused workspace (serial OPT) and hashes the routings.
+func policyDigest(t *testing.T, name string, opts solve.Options) string {
 	t.Helper()
 	s, err := solve.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := solve.Options{Workspace: route.NewWorkspace(), ExactWorkers: 1}
+	opts.Workspace, opts.ExactWorkers = route.NewWorkspace(), 1
 	h := fnv.New64a()
 	for i, in := range policyDigestInstances(t, name) {
 		r, err := s.Route(in, opts)
@@ -99,11 +115,20 @@ func policyDigest(t *testing.T, name string) string {
 // TestPolicyRoutingDigests routes the fixed grid with every registered
 // policy and compares against the committed digests; a policy without a
 // committed digest fails too, so a new policy is pinned when it lands.
+// The option variants are compared against theirs.
 func TestPolicyRoutingDigests(t *testing.T) {
+	for _, v := range policyVariantDigests {
+		t.Run(v.policy+"_"+v.label, func(t *testing.T) {
+			t.Parallel()
+			if got := policyDigest(t, v.policy, v.opts); got != v.digest {
+				t.Fatalf("%s under %s routing digest %s, committed %s", v.policy, v.label, got, v.digest)
+			}
+		})
+	}
 	for _, name := range solve.Policies() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			got := policyDigest(t, name)
+			got := policyDigest(t, name, solve.Options{})
 			want, ok := policyDigests[name]
 			if !ok {
 				t.Fatalf("no committed digest for %s (got %s)", name, got)
