@@ -148,10 +148,10 @@ func TestWorkloadRoundTripStability(t *testing.T) {
 	m := mesh.MustNew(8, 8)
 	set := workload.New(m, 31).Uniform(12, 100, 2000)
 
-	solve := func(s comm.Set) float64 {
+	prPower := func(s comm.Set) float64 {
 		return solveEval(t, heur.PR{}, solve.Instance{Mesh: m, Model: power.KimHorowitz(), Comms: s}, solve.Options{}).Power.Total()
 	}
-	before := solve(set)
+	before := prPower(set)
 
 	var buf bytes.Buffer
 	if err := comm.WriteJSON(&buf, m, set); err != nil {
@@ -161,7 +161,7 @@ func TestWorkloadRoundTripStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := solve(loaded); after != before {
+	if after := prPower(loaded); after != before {
 		t.Errorf("routing differs after JSON round trip: %g vs %g", after, before)
 	}
 }
