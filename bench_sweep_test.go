@@ -1,6 +1,6 @@
 // Streaming-sweep benchmark harness: the per-trial allocation guard of
 // the sink/streaming layer (sinks may allocate per point, never per
-// trial) and the work-stealing scaling benchmark. TestEmitBenchJSON
+// trial) and the worker-pool scaling benchmark. TestEmitBenchJSON
 // records both sweeps for cmd/benchguard.
 package repro_test
 
@@ -61,7 +61,7 @@ func BenchmarkSweepStreaming(b *testing.B) {
 // scalingSpec is the mixed fast/slow-point sweep the scaling numbers are
 // measured on: big-n congested points interleaved with tiny ones, so a
 // per-point barrier would idle most of the fleet on every slow point —
-// exactly the shape the work-stealing scheduler exists for.
+// exactly the shape the shared task cursor exists for.
 func scalingSpec(trials int) scenario.Spec {
 	return scenario.Spec{
 		ID: "scaling", Title: "scaling",

@@ -87,7 +87,7 @@ func bindFlags(fs *flag.FlagSet) *cfg {
 	fs.Float64Var(&src.Params.WMax, "wmax", 0, "maximum weight Mb/s for -source sweeps (default 1500 when no -rate)")
 	fs.Float64Var(&src.Params.Rate, "rate", 0, "fixed per-flow rate Mb/s for the pattern sources")
 	fs.IntVar(&src.Params.Length, "length", 0, "exact Manhattan length for the random family")
-	fs.IntVar(&c.workers, "workers", 0, "persistent sweep workers on the work-stealing scheduler (0 = all cores); output is byte-identical at every worker count")
+	fs.IntVar(&c.workers, "workers", 0, "persistent sweep workers in the worker pool (0 = all cores); output is byte-identical at every worker count")
 	fs.BoolVar(&c.resume, "resume", false, "resume an interrupted sweep from the streamed CSV in -csv (skips completed points)")
 	fs.BoolVar(&c.optgap, "optgap", false, "run the sweep as an optimality-gap report: each policy's mean power ratio against the exact OPT on the same instances (keep meshes and -n small)")
 	fs.IntVar(&c.optStates, "optstates", 0, "per-instance OPT node budget for -optgap (0 = the default; unsolved instances are reported, not fatal)")

@@ -38,7 +38,7 @@ func main() {
 		addr      = flag.String("addr", ":8077", "listen address")
 		shards    = flag.Int("shards", 0, "solve worker shards, each with persistent pooled scratch (0 = all cores)")
 		queue     = flag.Int("queue", 0, "per-shard pending-solve bound before 503 backpressure (0 = 64)")
-		sweepW    = flag.Int("sweep-workers", 0, "work-stealing workers per sweep run (0 = all cores)")
+		sweepW    = flag.Int("sweep-workers", 0, "pooled workers per sweep run (0 = all cores)")
 		maxSweeps = flag.Int("max-sweeps", 0, "concurrently executing sweeps (0 = 2)")
 		cacheN    = flag.Int("cache", 0, "completed sweeps kept in the LRU cache (0 = 64)")
 		maxTrials = flag.Int("max-trials", 0, "reject sweep specs above this trials/point (0 = unlimited)")

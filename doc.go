@@ -121,12 +121,13 @@
 // Specs, pinned byte-identical to the historical output by golden tests,
 // and interrupted sweeps resume from their streamed checkpoint files.
 //
-// Sweep execution is parallel by construction: a work-stealing scheduler
-// cuts the (point, trial) space into chunks on per-worker deques, and
-// one persistent worker per core owns its scratch — solver workspace,
-// load tracker, draw buffers, bound drawers — for the whole sweep, so
-// slow points spread across idle cores instead of serializing behind
-// per-point barriers. Parallelism is unobservable in the output: seeds
+// Sweep execution is parallel by construction: the (point, trial) space
+// is cut into chunks, and one persistent worker per core (internal/par,
+// the pool the exact solver's subtree search shares) takes them in
+// index order from one shared cursor while owning its scratch — solver
+// workspace, load tracker, draw buffers, bound drawers — for the whole
+// sweep, so slow points spread across idle cores instead of serializing
+// behind per-point barriers. Parallelism is unobservable in the output: seeds
 // depend only on (spec seed, point, trial) and a merge stage releases
 // completed points to the sinks strictly in point order, so every
 // SweepOptions.Workers count (0 = all cores) streams byte-identical

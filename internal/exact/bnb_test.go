@@ -142,7 +142,7 @@ func TestRoutingByteIdenticalAcrossWorkers(t *testing.T) {
 
 // A big-enough instance to split into many tasks, solved with 8 workers
 // sharing the incumbent — the -race CI job runs this to certify the
-// atomic/mutex incumbent and the stealing deques.
+// atomic/mutex incumbent and the shared task cursor.
 func TestParallelSharedIncumbent(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	model := power.KimHorowitz()

@@ -28,9 +28,9 @@
 //   - Per-comm candidate paths are pre-sorted by their envelope increment
 //     against the seed routing's loads, so the first descent is
 //     near-greedy.
-//   - The top of the tree is split into subtree tasks on per-worker
-//     deques with work stealing; workers share the best-power incumbent
-//     through an atomic.
+//   - The top of the tree is split into subtree tasks that a worker pool
+//     (par.Run) takes in order from one shared cursor; workers share the
+//     best-power incumbent through an atomic.
 //
 // Determinism: the returned routing is byte-identical at every worker
 // count. Equal-power optima are tie-broken by the lexicographically
@@ -43,19 +43,16 @@
 package exact
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
 	"repro/internal/comm"
 	"repro/internal/mesh"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/route"
+	"repro/internal/solve"
 )
-
-// ErrStopped is returned by Solve when Options.Stop reported true before
-// the search completed — cancellation, not infeasibility or truncation.
-var ErrStopped = errors.New("exact: search stopped by Options.Stop")
 
 // stopNodeStride is the node period of the Stop poll: the predicate runs
 // once per this many explored nodes (on the count the budget charge
@@ -96,8 +93,8 @@ type Options struct {
 	Route *route.Workspace
 	// Stop, when non-nil, is polled every stopNodeStride explored nodes;
 	// once it reports true every worker unwinds and Solve returns
-	// ErrStopped. An unstopped search explores exactly the nodes it would
-	// without the hook.
+	// solve.ErrStopped. An unstopped search explores exactly the nodes it
+	// would without the hook.
 	Stop func() bool
 }
 
@@ -135,7 +132,9 @@ func Solve(m *mesh.Mesh, model power.Model, set comm.Set) (route.Routing, bool, 
 // the same workspace (route.Routing.Clone to keep it); results are
 // bit-for-bit identical with or without reuse, and at every Workers
 // count. A Workspace must not be shared between goroutines (the solver
-// parallelizes internally).
+// parallelizes internally). A panic on a parallel worker is re-raised on
+// the calling goroutine as a *par.PanicError, as a serial search's panic
+// would be, and the workspace stays usable.
 func (w *Workspace) Solve(m *mesh.Mesh, model power.Model, set comm.Set, opt Options) (route.Routing, bool, Stats, error) {
 	var st Stats
 	if err := set.Validate(m); err != nil {
@@ -179,9 +178,9 @@ func (w *Workspace) Solve(m *mesh.Mesh, model power.Model, set comm.Set, opt Opt
 	st.Seeded, st.SeedPower = w.seedIncumbent(s0, rws)
 
 	// Split the top of the tree into enough subtree tasks to keep every
-	// worker busy through stealing. With one worker (or a tree too
-	// shallow to split) the plain serial DFS avoids the task overhead;
-	// the result is identical either way.
+	// worker busy. With one worker (or a tree too shallow to split) the
+	// plain serial DFS avoids the task overhead; the result is identical
+	// either way.
 	splitDepth, est := 0, 1
 	for splitDepth < n-1 && est < workers*4 {
 		est *= int(w.npaths[splitDepth])
@@ -197,8 +196,23 @@ func (w *Workspace) Solve(m *mesh.Mesh, model power.Model, set comm.Set, opt Opt
 		w.genTasks(s0, 0)
 		nt := len(w.taskBuf) / splitDepth
 		st.Tasks = nt
-		if nt > 0 {
-			w.runParallel(workers, nt)
+		// par.Run builds the worker scratch concurrently, and state grows
+		// the pool, so bind every state it will use here first.
+		for k := 0; k < workers && k < nt; k++ {
+			w.state(k)
+		}
+		halt := func() bool { return w.stopped.Load() || w.truncated.Load() }
+		err := par.Run(nt, workers, halt,
+			func(k int) *searchState { return w.pool[k] },
+			func(s *searchState, t int) error {
+				s.runTask(t)
+				return nil
+			})
+		if err != nil {
+			// Tasks return no errors, so err is a worker's *par.PanicError:
+			// re-raise it here, where a serial search's panic would surface,
+			// rather than let callers score it as an ordinary failure.
+			panic(err)
 		}
 	}
 
@@ -207,7 +221,7 @@ func (w *Workspace) Solve(m *mesh.Mesh, model power.Model, set comm.Set, opt Opt
 		// Cancellation outranks truncation: a stopped search proved
 		// nothing, so neither the incumbent nor the budget verdict may
 		// leak out as a result.
-		return route.Routing{}, false, st, ErrStopped
+		return route.Routing{}, false, st, solve.ErrStopped
 	}
 	st.Truncated = w.truncated.Load()
 	if st.Truncated {

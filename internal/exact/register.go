@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/route"
@@ -32,9 +31,6 @@ func optRoute(in solve.Instance, opts solve.Options) (route.Routing, error) {
 		Stop:      opts.Stop,
 	})
 	if err != nil {
-		if errors.Is(err, ErrStopped) {
-			return route.Routing{}, solve.ErrStopped
-		}
 		return route.Routing{}, err
 	}
 	if !ok {

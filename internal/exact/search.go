@@ -15,11 +15,10 @@ const loadEps = 1e-9
 // the incrementally maintained bound aggregates, the per-comm
 // cheapest-increment cache, and the undo frames that restore everything
 // bitwise on backtrack. States never share memory; workers meet only at
-// the incumbent and the deques.
+// the incumbent and the task cursor.
 type searchState struct {
-	w    *Workspace
-	self int
-	n    int
+	w *Workspace
+	n int
 
 	// maxLen is the frame stride: the longest candidate path of the
 	// instance, so depth i's undo frame lives at [i·maxLen, (i+1)·maxLen).
@@ -60,9 +59,8 @@ type searchState struct {
 
 // bind points the state at the workspace's current instance and resets it
 // to the empty routing.
-func (s *searchState) bind(w *Workspace, self int) {
+func (s *searchState) bind(w *Workspace) {
 	s.w = w
-	s.self = self
 	s.n = len(w.order)
 	maxLen := 0
 	for _, l := range w.lens {
@@ -316,55 +314,6 @@ func lexLess(a, b []int32) bool {
 	return len(a) < len(b)
 }
 
-// taskDeque holds pre-generated subtree tasks for one worker. The owner
-// pops from the front (preserving the near-greedy candidate order),
-// thieves pop from the back (the least-ordered work). Tasks are only ever
-// produced before the workers start, so an empty sweep means done.
-type taskDeque struct {
-	mu   sync.Mutex
-	buf  []int32
-	head int
-}
-
-func (d *taskDeque) reset() {
-	d.buf = d.buf[:0]
-	d.head = 0
-}
-
-func (d *taskDeque) push(t int32) {
-	d.mu.Lock()
-	d.buf = append(d.buf, t)
-	d.mu.Unlock()
-}
-
-func (d *taskDeque) popFront() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.buf) {
-		return 0, false
-	}
-	t := d.buf[d.head]
-	d.head++
-	return t, true
-}
-
-func (d *taskDeque) popBack() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.buf) {
-		return 0, false
-	}
-	t := d.buf[len(d.buf)-1]
-	d.buf = d.buf[:len(d.buf)-1]
-	return t, true
-}
-
-func (d *taskDeque) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.buf) - d.head
-}
-
 // genTasks walks the top of the tree to taskD, charging and pruning like
 // dfs, and emits each surviving depth-taskD prefix as one task (the
 // task's own node is charged later by the worker's dfs entry).
@@ -387,66 +336,6 @@ func (w *Workspace) genTasks(s *searchState, i int) {
 		s.add(i, int(j))
 		w.genTasks(s, i+1)
 		s.undo(i)
-	}
-}
-
-// runParallel deals the generated tasks round-robin onto per-worker
-// deques and runs the workers to completion.
-func (w *Workspace) runParallel(workers, nt int) {
-	for len(w.deques) < workers {
-		w.deques = append(w.deques, &taskDeque{})
-	}
-	for k := 0; k < workers; k++ {
-		w.deques[k].reset()
-	}
-	for t := 0; t < nt; t++ {
-		w.deques[t%workers].push(int32(t))
-	}
-	w.wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		st := w.state(k)
-		go st.runTasks()
-	}
-	w.wg.Wait()
-}
-
-// runTasks drains the worker's own deque front-first, then steals from
-// the fullest other deque until every deque is empty.
-func (s *searchState) runTasks() {
-	w := s.w
-	defer w.wg.Done()
-	for {
-		t, ok := w.deques[s.self].popFront()
-		if !ok {
-			t, ok = w.steal(s.self)
-			if !ok {
-				return
-			}
-		}
-		s.runTask(int(t))
-	}
-}
-
-// steal pops from the back of the fullest other deque, rescanning until a
-// pop succeeds or every deque is empty (tasks are never added once the
-// workers run, so an empty sweep is terminal).
-func (w *Workspace) steal(self int) (int32, bool) {
-	for {
-		victim, bestSize := -1, 0
-		for k, d := range w.deques {
-			if k == self {
-				continue
-			}
-			if sz := d.size(); sz > bestSize {
-				victim, bestSize = k, sz
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		if t, ok := w.deques[victim].popBack(); ok {
-			return t, true
-		}
 	}
 }
 

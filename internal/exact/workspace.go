@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/comm"
@@ -15,10 +14,10 @@ import (
 
 // Workspace owns every buffer a Solve call needs — the sorted comm order,
 // the flat candidate-path arena, the link→comm incidence index, the
-// per-worker search states, the task deques, and the result flows — so a
-// reused workspace solves without allocating once warmed (the Reset-or-New
-// discipline of route.Workspace and noc.Workspace). The zero value is not
-// usable; construct with NewWorkspace.
+// per-worker search states, the subtree task prefixes, and the result
+// flows — so a reused workspace solves without allocating once warmed
+// (the Reset-or-New discipline of route.Workspace and noc.Workspace). The
+// zero value is not usable; construct with NewWorkspace.
 type Workspace struct {
 	mesh  *mesh.Mesh
 	model power.Model
@@ -75,13 +74,11 @@ type Workspace struct {
 	stop      func() bool // Options.Stop, polled by charge
 	stopped   atomic.Bool // latched once stop reports true
 	best      incumbent
-	wg        sync.WaitGroup
 
 	// Parallel split: taskBuf holds choice-vector prefixes of length
-	// taskD, dealt round-robin onto per-worker deques.
+	// taskD, one subtree task each, taken in order by the worker pool.
 	taskD   int
 	taskBuf []int32
-	deques  []*taskDeque
 
 	pool []*searchState
 
@@ -371,7 +368,7 @@ func (w *Workspace) state(k int) *searchState {
 		w.pool = append(w.pool, &searchState{})
 	}
 	s := w.pool[k]
-	s.bind(w, k)
+	s.bind(w)
 	return s
 }
 

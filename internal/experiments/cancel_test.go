@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // Cancelling the sweep's context mid-run halts the workers promptly,
@@ -101,7 +103,7 @@ func TestSweepUncancelledContextByteIdentical(t *testing.T) {
 }
 
 // A panic on a sweep worker — here injected through the TrialStart fault
-// hook — fails the sweep with a typed PanicError instead of crashing the
+// hook — fails the sweep with a typed par.PanicError instead of crashing the
 // process.
 func TestSweepWorkerPanicBecomesError(t *testing.T) {
 	var armed atomic.Bool
@@ -111,7 +113,7 @@ func TestSweepWorkerPanicBecomesError(t *testing.T) {
 			panic("injected fault")
 		}
 	}}, &recordSink{})
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/mesh"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/scenario"
@@ -19,12 +20,12 @@ import (
 // engine is the pooled trial runner behind every sweep: the spec's
 // policy list resolved against the solve registry once, the workload
 // source resolved against the scenario registry and bound to every point
-// once. Trials run on the work-stealing scheduler (steal.go): one
-// persistent worker per core holds its scratch — solver workspace, load
-// tracker, draw buffers, bound drawers — for the whole sweep, pulling
-// (point, trial) chunks from per-worker deques with stealing, so slow
-// points no longer serialize behind fast ones and nothing is torn down
-// at point boundaries. Completed points flow through a merge stage that
+// once. Trials run on the shared worker pool (par.Run): one persistent
+// worker per core holds its scratch — solver workspace, load tracker,
+// draw buffers, bound drawers — for the whole sweep, taking (point,
+// trial) chunks in index order from one shared cursor, so slow points
+// never serialize behind fast ones and nothing is torn down at point
+// boundaries. Completed points flow through a merge stage that
 // releases them to the sinks strictly in point order.
 type engine struct {
 	// tp is the platform; workload sources bind to its Carrier() grid
@@ -144,6 +145,47 @@ func newEngine(sp scenario.Spec, meta SweepMeta) (*engine, error) {
 	return e, nil
 }
 
+// chunk is the pool's unit of sweep work: the contiguous trial range
+// [lo, hi) of one sweep point. Sweeps schedule the whole (point, trial)
+// space as one flat chunk list, so a slow point's trials spread over
+// every idle worker instead of serializing behind a per-point barrier;
+// flat task lists (the §6.4 summary) schedule as a single point's range.
+type chunk struct {
+	point  int
+	lo, hi int
+}
+
+// appendChunks appends the chunks of one point's n trials, size trials
+// each (the last one ragged), and returns the extended list plus the
+// number of chunks appended.
+func appendChunks(dst []chunk, point, n, size int) ([]chunk, int) {
+	added := 0
+	for lo := 0; lo < n; lo += size {
+		hi := lo + size
+		if hi > n {
+			hi = n
+		}
+		dst = append(dst, chunk{point: point, lo: lo, hi: hi})
+		added++
+	}
+	return dst, added
+}
+
+// chunkTrials picks the scheduling granularity for n trials on w
+// workers: small enough that one point splits across the pool (~4
+// chunks per worker per point), large enough that dispatch stays noise
+// next to a solve.
+func chunkTrials(n, w int) int {
+	if w < 1 {
+		w = 1
+	}
+	c := n / (w * 4)
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
 // sweepScratch is one persistent worker's private state for a whole
 // sweep: the dense solver workspace and evaluation tracker live across
 // every point the worker touches (the per-point scratch rebuild the old
@@ -184,7 +226,7 @@ func (s *sweepScratch) drawer(e *engine, pi int) scenario.Drawer {
 // trialSeed derives the deterministic per-trial seed: the historical
 // (panel seed, point, trial) formula, so refactors of the runner never
 // move the figures. Seeds depend on nothing else — which is what makes
-// the work-stealing execution order-independent.
+// the parallel execution order-independent.
 func trialSeed(panelSeed int64, point, trial int) int64 {
 	return panelSeed*1_000_003 + int64(point)*10_007 + int64(trial)
 }
@@ -271,11 +313,11 @@ func (p *outcomePool) put(s []instanceOutcome) {
 }
 
 // sweep schedules the spec's (point, trial) space from the start index
-// on the work-stealing fleet and hands each completed point's outcome
+// on the worker pool and hands each completed point's outcome
 // rows to emit strictly in point order — the merge stage behind the
 // byte-identical streaming contract: out-of-order completions buffer
 // until every earlier point has been released to the sinks. An emit
-// error aborts the fleet and is returned (after a trial error, which
+// error aborts the pool and is returned (after a trial error, which
 // takes precedence).
 func (e *engine) sweep(panelSeed int64, start, workers int, emit func(pi int, rows []instanceOutcome) error) error {
 	npts := len(e.points)
@@ -296,7 +338,12 @@ func (e *engine) sweep(panelSeed int64, start, workers int, emit func(pi int, ro
 	}
 	pool := &outcomePool{size: e.trials * npol}
 
-	run := func(s *sweepScratch, c chunk) error {
+	// completed receives each point index whose last chunk finished. The
+	// buffer holds every point, so workers never block on a slow sink —
+	// the merge loop below is the only consumer and may lag freely.
+	completed := make(chan int, npts-start)
+	run := func(s *sweepScratch, ci int) error {
+		c := chunks[ci]
 		st := &states[c.point]
 		st.once.Do(func() { st.rows = pool.get() })
 		for trial := c.lo; trial < c.hi; trial++ {
@@ -304,43 +351,40 @@ func (e *engine) sweep(panelSeed int64, start, workers int, emit func(pi int, ro
 				return err
 			}
 		}
+		if st.pending.Add(-1) == 0 {
+			completed <- c.point
+		}
 		return nil
 	}
 
-	// completed receives each point index whose last chunk finished. The
-	// buffer holds every point, so workers never block on a slow sink —
-	// the merge loop below is the only consumer and may lag freely.
-	completed := make(chan int, npts-start)
-	done := func(c chunk) {
-		if states[c.point].pending.Add(-1) == 0 {
-			completed <- c.point
-		}
-	}
-
-	var sinkErr firstError
-	// The fleet halts on the first sink error or, when the sweep carries a
-	// cancellation poll, as soon as it fires — workers stop pulling chunks
-	// and the merge loop drains whatever already completed.
-	haltFleet := sinkErr.Failed
+	// The merge loop is the only writer of sinkErr; sinkFailed publishes
+	// it to the pool. The pool halts on the first sink error or, when the
+	// sweep carries a cancellation poll, as soon as it fires — workers
+	// stop taking chunks and the merge loop drains whatever already
+	// completed.
+	var sinkErr error
+	var sinkFailed atomic.Bool
+	halt := sinkFailed.Load
 	if e.stop != nil {
-		haltFleet = func() bool { return sinkErr.Failed() || e.stop() }
+		halt = func() bool { return sinkFailed.Load() || e.stop() }
 	}
 	var schedErr error
 	sched := make(chan struct{})
 	go func() {
 		defer close(sched)
 		defer close(completed)
-		schedErr = runStealing(chunks, workers, haltFleet,
-			func() *sweepScratch { return e.newSweepScratch(npts) }, run, done)
+		schedErr = par.Run(len(chunks), workers, halt,
+			func(int) *sweepScratch { return e.newSweepScratch(npts) }, run)
 	}()
 
 	ready := make([]bool, npts)
 	next := start
 	for pi := range completed {
 		ready[pi] = true
-		for next < npts && ready[next] && !sinkErr.Failed() {
+		for next < npts && ready[next] && sinkErr == nil {
 			if err := emit(next, states[next].rows); err != nil {
-				sinkErr.Report(err)
+				sinkErr = err
+				sinkFailed.Store(true)
 				break
 			}
 			pool.put(states[next].rows)
@@ -352,7 +396,7 @@ func (e *engine) sweep(panelSeed int64, start, workers int, emit func(pi int, ro
 	if schedErr != nil {
 		return schedErr
 	}
-	return sinkErr.Err()
+	return sinkErr
 }
 
 // deriveBest fills the BEST entry of an outcome row from its constituent

@@ -29,8 +29,7 @@ func golden(t *testing.T, name string, got []byte) {
 // Every canned figure id, streamed through the Spec/Sweep path at the
 // golden trial count, must reproduce the pre-refactor tables and CSVs
 // byte for byte — at the serial worker count, at NumCPU, and on a
-// deliberately parallel fleet, since the work-stealing scheduler
-// guarantees byte-identical streams at every worker count.
+// deliberately parallel pool, since the sweep engine guarantees byte-identical streams at every worker count.
 func TestGoldenFigureSweeps(t *testing.T) {
 	counts := []int{1, runtime.NumCPU(), 4}
 	for _, id := range FigureIDs() {

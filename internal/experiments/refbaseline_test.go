@@ -13,7 +13,7 @@ import (
 // the pooled sweep: the same trials, seeds and reduction, but allocating
 // per trial — a fresh workload generator, a fresh evaluation through
 // route.Evaluate, fresh outcome rows — and looping serially instead of
-// reusing worker scratch on the work-stealing scheduler. It draws only
+// reusing worker scratch on the worker pool. It draws only
 // the random family, on mesh platforms.
 func refBaseline(t *testing.T, sp scenario.Spec) Result {
 	t.Helper()

@@ -99,7 +99,7 @@ func Sweep(sp scenario.Spec, opt SweepOptions, sinks ...Sink) error {
 // stream is the one sweep loop behind Sweep and OptGap: it resolves the
 // spec's captions and trial count into the meta, builds the engine,
 // announces the meta to the sinks, runs the (point, trial) space on the
-// work-stealing scheduler, reduces each completed point and emits it in
+// shared worker pool, reduces each completed point and emits it in
 // point order, and ends the sinks — or returns the context's error when
 // the sweep was cancelled, with End never called. tune, when non-nil,
 // adjusts the engine and its meta before the first Begin.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/multipath"
 	"repro/internal/noc"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/scenario"
@@ -140,16 +141,17 @@ func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, err
 		loads *route.LoadTracker
 		ws    *route.Workspace
 	}
-	newScratch := func() *sumScratch {
+	newScratch := func(int) *sumScratch {
 		return &sumScratch{gen: workload.New(m, 0), loads: route.NewLoadTrackerTopo(m), ws: route.NewWorkspace()}
 	}
-	// The flat task list runs on the sweeps' work-stealing scheduler as a
-	// single point's trial range: persistent per-worker scratch, chunked
-	// deques, stealing when a worker drains — and the scheduler's
-	// first-error handling halts the fleet on a draw failure.
+	// The flat task list runs on the sweeps' worker pool as a single
+	// point's trial range: persistent per-worker scratch, chunks taken in
+	// index order — and the pool's first-error handling stops dispatch on
+	// a draw failure.
 	workers := runtime.GOMAXPROCS(0)
 	chunks, _ := appendChunks(nil, 0, len(tasks), chunkTrials(len(tasks), workers))
-	err = runStealing(chunks, workers, nil, newScratch, func(s *sumScratch, c chunk) error {
+	err = par.Run(len(chunks), workers, nil, newScratch, func(s *sumScratch, ci int) error {
+		c := chunks[ci]
 		for ti := c.lo; ti < c.hi; ti++ {
 			set, err := scenario.DrawRandom(s.gen, tasks[ti].seed, tasks[ti].w, s.set)
 			if err != nil {
@@ -172,7 +174,7 @@ func RunSummary(trialsPerPoint int, seed int64, policies []string) (Summary, err
 			outs[ti] = o
 		}
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return Summary{}, err
 	}

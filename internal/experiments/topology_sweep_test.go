@@ -31,7 +31,7 @@ func topologySpecs() []scenario.Spec {
 	}
 }
 
-// Non-mesh sweeps inherit the work-stealing scheduler's determinism
+// Non-mesh sweeps inherit the sweep engine's determinism
 // contract: every worker count streams byte-identical CSV and JSONL.
 func TestTopologySweepWorkersByteIdentical(t *testing.T) {
 	for _, sp := range topologySpecs() {

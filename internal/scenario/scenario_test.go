@@ -274,6 +274,37 @@ func TestTraceSource(t *testing.T) {
 	}
 }
 
+// raceBuild is set by race_test.go in -race builds.
+var raceBuild bool
+
+// A warmed trace drawer redraws without rebuilding its solver or its
+// simulator: PR routes on the drawer's kept workspace. The draw reads
+// ~10 allocations, most of them the simulator's per-run results;
+// routing each attempt on a fresh workspace read ~550.
+func TestTraceDrawAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	m := mesh.MustNew(8, 8)
+	d, err := Bind("trace", m, Params{N: 12, WMin: 100, WMax: 900})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := d.Draw(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		set, err = d.Draw(5, set)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 20 {
+		t.Errorf("warmed trace draw allocates %.0f times, want <= 20", allocs)
+	}
+}
+
 func TestParseMesh(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -280,9 +280,10 @@ const (
 // delivery observer attached, and exports the observed per-communication
 // goodput as the communication set (noc.WorkloadObserver) — traffic as
 // the chip actually delivered it, contention and all. The drawer pools
-// one simulator across draws (noc.Workspace) and the observer retains
-// only per-comm bit totals, so a draw costs no event retention and no
-// per-draw simulator construction no matter how long the replay runs.
+// one routing workspace and one simulator across draws (route.Workspace,
+// noc.Workspace), and the observer retains only per-comm bit totals, so
+// a draw costs no event retention and no per-draw solver or simulator
+// construction no matter how long the replay runs.
 // Seeds whose offered load is PR-infeasible are skipped
 // deterministically, like the NoC cross-validation experiment. Draws
 // still run a full simulation, so the source remains heavier than the
@@ -311,7 +312,7 @@ func (traceSource) Bind(m *mesh.Mesh, p Params) (Drawer, error) {
 	}
 	return &traceDrawer{
 		m: m, p: p, model: power.KimHorowitz(),
-		gen: workload.New(m, 0), sims: noc.NewWorkspace(),
+		gen: workload.New(m, 0), ws: route.NewWorkspace(), sims: noc.NewWorkspace(),
 	}, nil
 }
 
@@ -321,15 +322,17 @@ type traceDrawer struct {
 	model   power.Model
 	gen     *workload.Generator
 	offered comm.Set
-	sims    *noc.Workspace
-	obs     noc.WorkloadObserver
+	// ws holds PR's routing, read only before the next attempt routes.
+	ws   *route.Workspace
+	sims *noc.Workspace
+	obs  noc.WorkloadObserver
 }
 
 func (d *traceDrawer) Draw(seed int64, dst comm.Set) (comm.Set, error) {
 	for attempt := 0; attempt < traceMaxAttempts; attempt++ {
 		d.gen.Reseed(seed + int64(attempt)*traceAttemptBump)
 		d.offered = d.gen.UniformInto(d.offered, d.p.N, d.p.WMin, d.p.WMax)
-		r, err := heur.PR{}.Route(solve.Instance{Mesh: d.m, Model: d.model, Comms: d.offered}, solve.Options{})
+		r, err := heur.PR{}.Route(solve.Instance{Mesh: d.m, Model: d.model, Comms: d.offered}, solve.Options{Workspace: d.ws})
 		if err != nil {
 			return nil, err
 		}

@@ -62,6 +62,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mesh"
 	"repro/internal/noc"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/solve"
@@ -77,7 +78,7 @@ type Config struct {
 	// every queue is full, /solve answers 503 instead of queueing — the
 	// latency guardrail under overload.
 	ShardQueue int
-	// SweepWorkers is the work-stealing worker count of each sweep run
+	// SweepWorkers is the worker-pool size of each sweep run
 	// (experiments.SweepOptions.Workers; 0 = GOMAXPROCS). Output bytes
 	// are identical at every setting.
 	SweepWorkers int
@@ -633,7 +634,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // submission retries; the cache never holds a partial run. The run is
 // bounded by the entry's refcounted context (cancelled when the last
 // attached stream leaves) and, when configured, SweepTimeout; a panic on
-// a sweep worker arrives as an experiments.PanicError and counts in
+// a sweep worker arrives as a par.PanicError and counts in
 // Stats.Panics.
 func (s *Server) runSweep(sp scenario.Spec, entry *sweepEntry) {
 	defer s.sweeps.Done()
@@ -675,11 +676,14 @@ func (s *Server) runSweep(sp scenario.Spec, entry *sweepEntry) {
 		return experiments.Sweep(sp, opt, experiments.NewJSONLSink(entry))
 	}()
 	if err == nil {
-		entry.finish(nil)
+		// Promote before finishing: a client that read the whole stream
+		// must then see the entry (and any eviction it caused) in /stats.
+		// A hit on the promoted entry streams until finish.
 		s.cache.complete(entry)
+		entry.finish(nil)
 		return
 	}
-	var pe *experiments.PanicError
+	var pe *par.PanicError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
